@@ -5,7 +5,8 @@ stdin), runs one analysis, and prints one report.  Verdicts are data, never
 exit codes: a refutation is a successfully completed analysis.
 
 Exit status: 0 for any completed analysis, 1 for input/schema errors, 2 for
-resource-cap or grid-budget exhaustion.  ``--format json`` (the default)
+resource-cap or grid-budget exhaustion, 3 for an internal invariant failure
+(a bug, reported as one ``error: internal: ...`` line, never as an answer).  ``--format json`` (the default)
 prints a stable, sorted JSON document; ``--format text`` prints an indented
 human view of the same data.  ``--seed`` is recorded in the report metadata;
 all shipped analyses are deterministic and consume no randomness.
@@ -412,6 +413,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ExchkitError as exc:  # any other library failure is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

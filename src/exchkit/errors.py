@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 The CLI maps these onto exit codes: bad input is exit 1, resource caps are
-exit 2.  Verdicts (not extendible, refuted, unknown) are never exceptions;
+exit 2.  An internal invariant failure is an ``AssertionError``, not one of
+these, and exits 3.  Verdicts (not extendible, refuted, unknown) are never exceptions;
 they are ordinary data.
 """
 

@@ -15,11 +15,13 @@ The questions answered here, all exactly:
 * ``covariance_bound`` - the classical pairwise-covariance necessary
   condition under a numeric embedding of the alphabet.
 
-The witness search is a pure feasibility LP (variables: type weights of the
-extension; rows: the marginal identities), and the norm is the optimum of
-the same data read the other way: the minimum total variation of a signed
-combination of urn measures reproducing ``P``.  Infeasibility certificates
-(Farkas rays) convert directly into refutations.
+One linear program answers the whole question: the minimum total variation
+of a signed combination of mass-``N`` urn measures reproducing ``P`` (rows:
+the marginal identities; variables: positive and negative parts of the urn
+weights).  Its optimum is the norm.  At norm 1 the positive part is the
+witness, since urn columns sum to 1 and so leave no room for a negative
+part.  Above 1 the negated row duals are the optimal refutation: a
+symmetric ``g`` with ``sup |U g| = 1`` and ``E_P g`` equal to the norm.
 
 Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
@@ -41,19 +43,19 @@ from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import (
     ExchangeableLaw,
+    _grid_program,
+    _product_type_weights,
+    _reproducing_lp,
     invert_urn,
     marginalize,
-    multiset_count,
-    simplex_grid,
     urn_coefficient,
 )
-from .ratlp import LinearProgram, LpStatus, solve
+from .ratlp import LpOutcome, LpStatus, solve
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import (
     Alphabet,
     RationalLike,
     TypeVector,
-    _make_type,
     as_fraction,
     enumerate_types,
     subtypes,
@@ -79,9 +81,8 @@ class ExtendReport:
     """Verdict for one target length, with its certificate.
 
     Extendible reports carry a witness law whose marginals reproduce ``P``
-    exactly; non-extendible ones carry a refutation ``g`` with
-    ``E_P g > sup |U g|`` (normalized so the sup is exactly 1) and the norm
-    strictly above 1.
+    exactly; non-extendible ones carry the optimal refutation ``g``:
+    ``sup |U g| == 1`` and ``E_P g == norm``, strictly above 1.
     """
 
     N: int
@@ -181,35 +182,22 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
     return True
 
 
-def _urn_columns(P: ExchangeableLaw, N: int):
-    """The marginal-identity constraint data: mass-N types and, per type,
-    its sparse column of urn coefficients against mass-n types."""
-    k, n = P.alphabet.size, P.n
-    nus = enumerate_types(k, N)
-    mus = enumerate_types(k, n)
-    mu_index = {mu: i for i, mu in enumerate(mus)}
-    columns: list[list[tuple[int, Fraction]]] = []
-    for nu in nus:
-        col = [(mu_index[mu], urn_coefficient(nu, mu)) for mu in subtypes(nu, n)]
-        columns.append(col)
-    return nus, mus, columns
-
-
-def _feasibility_lp(P: ExchangeableLaw, N: int):
-    nus, mus, columns = _urn_columns(P, N)
-    nrows, nvars = len(mus), len(nus)
-    rows = [[Fraction(0)] * nvars for _ in range(nrows)]
-    for v, col in enumerate(columns):
-        for r, coef in col:
-            rows[r][v] = coef
-    constraints = tuple(
-        (tuple(rows[r]), "=", P.weight(mus[r])) for r in range(nrows)
-    )
-    lp = LinearProgram.build("min", [0] * nvars, constraints)
-    return lp, nus, mus
-
-
 # -- the norm --------------------------------------------------------------------
+
+
+def _min_total_variation(
+    P: ExchangeableLaw, N: int
+) -> tuple[list[TypeVector], LpOutcome]:
+    """Solve the norm program over the mass-``N`` urn columns; returns the
+    mass-``N`` types (the column order) and the optimal outcome."""
+    nus = enumerate_types(P.alphabet.size, N)
+    columns = [{mu: urn_coefficient(nu, mu) for mu in subtypes(nu, P.n)} for nu in nus]
+    out = solve(_reproducing_lp(P, columns, signed=True))
+    if out.status is not LpStatus.OPTIMAL:
+        raise AssertionError("norm: total-variation program must be solvable")
+    if out.objective_value < 1:
+        raise AssertionError("norm: computed value below 1")
+    return nus, out
 
 
 def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
@@ -222,25 +210,7 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
     Always >= 1, with equality iff ``P`` is N-extendible.
     """
     _check_target(P, N)
-    nus, mus, columns = _urn_columns(P, N)
-    nrows, natoms = len(mus), len(nus)
-    # Variables: positive then negative parts of the urn coefficients.
-    rows = [[Fraction(0)] * (2 * natoms) for _ in range(nrows)]
-    for v, col in enumerate(columns):
-        for r, coef in col:
-            rows[r][v] = coef
-            rows[r][natoms + v] = -coef
-    constraints = tuple(
-        (tuple(rows[r]), "=", P.weight(mus[r])) for r in range(nrows)
-    )
-    lp = LinearProgram.build("min", [1] * (2 * natoms), constraints)
-    out = solve(lp)
-    if out.status is not LpStatus.OPTIMAL:
-        raise AssertionError("norm: total-variation program must be solvable")
-    value = out.objective_value
-    if value < 1:
-        raise AssertionError("norm: computed value below 1")
-    return value
+    return _min_total_variation(P, N)[1].objective_value
 
 
 # -- constructive fast paths -------------------------------------------------------
@@ -310,39 +280,11 @@ def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
     return tuple(atoms)
 
 
-def _product_type_weights(theta: Sequence[Fraction], n: int) -> dict[TypeVector, Fraction]:
-    """Multinomial type weights, enumerating over the support of theta only.
-
-    Works over a common denominator so each weight costs integer power-table
-    lookups plus a single Fraction construction.
-    """
-    k = len(theta)
-    sup = [i for i, p in enumerate(theta) if p]
-    common = math.lcm(*(theta[i].denominator for i in sup))
-    scale = common**n
-    powers = [[1] * (n + 1) for _ in sup]
-    for row, pos in enumerate(sup):
-        base = theta[pos].numerator * (common // theta[pos].denominator)
-        for c in range(1, n + 1):
-            powers[row][c] = powers[row][c - 1] * base
-    out: dict[TypeVector, Fraction] = {}
-    template = [0] * k
-    for small in enumerate_types(len(sup), n):
-        w = multiset_count(small)
-        for row, c in enumerate(small.counts):
-            if c:
-                w *= powers[row][c]
-                template[sup[row]] = c
-        out[_make_type(tuple(template))] = Fraction(w, scale)
-        for pos in sup:
-            template[pos] = 0
-    return out
-
-
 def mixture_extension(
     atoms: Sequence[Atom], N: int, alphabet: Alphabet
 ) -> ExchangeableLaw:
     """The length-``N`` law of a nonnegative product mixture."""
+    ensure_within_cap(type_count(alphabet.size, N), "mass-N type space")
     weights: dict[TypeVector, Fraction] = {}
     for w, theta in atoms:
         if w < 0:
@@ -355,53 +297,25 @@ def mixture_extension(
 # -- the decision ------------------------------------------------------------------
 
 
-def _refutation_from_farkas(
-    P: ExchangeableLaw, N: int, mus: Sequence[TypeVector], farkas: Sequence[Fraction]
-) -> SymmetricFunction:
-    """Turn a Farkas ray for the witness system into a normalized refutation.
-
-    The ray gives ``g0`` with ``E_P g0 > 0`` while ``U g0 <= 0`` pointwise;
-    recentering and rescaling makes ``sup |U g| = 1`` with ``E_P g > 1``,
-    a hand-checkable violation of the norm bound.
-    """
-    g0 = SymmetricFunction.from_values(
-        P.alphabet, P.n, {mu: -y for mu, y in zip(mus, farkas) if y}
-    )
-    image = apply_U(g0, N)
-    hi = max(image.values.values())
-    lo = min(image.values.values())
-    # hi == lo would mean U g0 is constant, forcing g0 constant (the
-    # symmetrization is injective on type functions) and E_P g0 <= 0.
-    if hi == lo:
-        raise AssertionError("refutation: Farkas image collapsed to a constant")
-    shift = -(hi + lo) / 2
-    scale = 2 / (hi - lo)
-    g = g0.shift_scale(shift, scale)
-    if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) <= 1:
-        raise AssertionError("refutation: normalization failed")
+def _dual_refutation(P: ExchangeableLaw, N: int, out: LpOutcome) -> SymmetricFunction:
+    """The optimal refutation: the negated row duals of the norm program."""
+    mus = enumerate_types(P.alphabet.size, P.n)
+    g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
+    if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != out.objective_value:
+        raise AssertionError("refutation: negated dual is not an optimal refutation")
     return g
-
-
-def _witness_by_lp(P: ExchangeableLaw, N: int):
-    """Solve the witness feasibility program; returns (witness, None) or
-    (None, refutation)."""
-    lp, nus, mus = _feasibility_lp(P, N)
-    out = solve(lp)
-    if out.status is LpStatus.OPTIMAL:
-        weights = {nu: q for nu, q in zip(nus, out.primal) if q}
-        return ExchangeableLaw(P.alphabet, N, weights), None
-    if out.status is LpStatus.INFEASIBLE:
-        return None, _refutation_from_farkas(P, N, mus, out.certificate)
-    raise AssertionError("witness search: feasibility program cannot be unbounded")
 
 
 def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     """Decide N-extendibility with a verified certificate either way.
 
-    Extendible ⟺ norm == 1; the report asserts that equivalence.  With a
-    witness in hand the norm is pinned to 1 without another solve: the
-    witness is a total-variation-1 reproduction of ``P`` (so norm <= 1) and
-    row stochasticity forces norm >= 1.
+    Two exact constructions run first, and a witness from either pins the
+    norm to 1 without a solve: the witness is a total-variation-1
+    reproduction of ``P`` (so norm <= 1) and row stochasticity forces
+    norm >= 1.  Otherwise one solve of the norm program decides: at norm 1
+    its positive part is the witness, above 1 its negated dual is a
+    refutation with ``sup |U g| = 1`` and ``E_P g == norm``.  Every witness
+    is checked against the marginal identities before it is returned.
     """
     _check_target(P, N)
     witness = _transport_witness(P, N)
@@ -410,14 +324,15 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
         if atoms is not None:
             witness = mixture_extension(atoms, N, P.alphabet)
     if witness is None:
-        witness, refutation = _witness_by_lp(P, N)
-        if witness is None:
-            norm = norm_EN(P, N)
-            if norm <= 1:
-                raise AssertionError("extend: refuted law must have norm > 1")
-            return ExtendReport(
-                N, Verdict.NOT_EXTENDIBLE, norm, refutation=refutation
-            )
+        nus, out = _min_total_variation(P, N)
+        norm = out.objective_value
+        if norm > 1:
+            g = _dual_refutation(P, N, out)
+            return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
+        if any(out.primal[len(nus):]):
+            raise AssertionError("extend: norm-1 optimum has a negative part")
+        weights = {nu: p for nu, p in zip(nus, out.primal) if p}
+        witness = ExchangeableLaw(P.alphabet, N, weights)
     if not marginal_matches(witness, P):
         raise AssertionError("extend: witness failed the marginal identity")
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
@@ -441,20 +356,7 @@ def corollary_criterion(
 
 def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
     """Nonnegative mixture of grid product laws reproducing P, if any."""
-    k, n = P.alphabet.size, P.n
-    ensure_within_cap(type_count(k, depth), "simplex grid")
-    thetas = simplex_grid(k, depth)
-    mus = enumerate_types(k, n)
-    rows = [[Fraction(0)] * len(thetas) for _ in mus]
-    mu_index = {mu: r for r, mu in enumerate(mus)}
-    for v, theta in enumerate(thetas):
-        for tv, w in _product_type_weights(theta, n).items():
-            if w:
-                rows[mu_index[tv]][v] = w
-    constraints = tuple(
-        (tuple(rows[r]), "=", P.weight(mu)) for r, mu in enumerate(mus)
-    )
-    lp = LinearProgram.build("min", [0] * len(thetas), constraints)
+    thetas, lp = _grid_program(P, depth, signed=False)
     out = solve(lp)
     if out.status is not LpStatus.OPTIMAL:
         return None

@@ -20,6 +20,11 @@ target type.  The l1 norm of those coefficients depends only on the support
 profile of the target, which is what keeps the extending-functional norm
 finite.
 
+Both kinds of measure also serve as the columns of the linear programs that
+reproduce a law: urn measures for the extension questions, grid product
+laws for the mixture searches.  ``_reproducing_lp`` builds every one of
+those programs.
+
 Everything here is exact rational arithmetic; no floats anywhere.
 """
 
@@ -32,15 +37,19 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from .caps import ensure_within_cap
 from .errors import InputError
+from .ratlp import LinearProgram
 from .typespace import (
     Alphabet,
     RationalLike,
     TypeVector,
+    _make_type,
     as_fraction,
     enumerate_types,
     multiset_count,
     subtypes,
+    type_count,
 )
 
 WeightMap = Mapping[TypeVector, Fraction]
@@ -157,18 +166,36 @@ def product_law(
         alphabet = Alphabet.of_size(k)
     elif alphabet.size != k:
         raise InputError("product_law: alphabet size does not match theta")
-    weights: dict[TypeVector, Fraction] = {}
-    for mu in enumerate_types(k, n):
-        w = Fraction(multiset_count(mu))
-        for p, c in zip(probs, mu.counts):
+    return ExchangeableLaw(alphabet, n, _product_type_weights(probs, n))
+
+
+def _product_type_weights(theta: Sequence[Fraction], n: int) -> dict[TypeVector, Fraction]:
+    """Multinomial type weights, enumerating over the support of theta only.
+
+    Works over a common denominator so each weight costs integer power-table
+    lookups plus a single Fraction construction.
+    """
+    k = len(theta)
+    sup = [i for i, p in enumerate(theta) if p]
+    common = math.lcm(*(theta[i].denominator for i in sup))
+    scale = common**n
+    powers = [[1] * (n + 1) for _ in sup]
+    for row, pos in enumerate(sup):
+        base = theta[pos].numerator * (common // theta[pos].denominator)
+        for c in range(1, n + 1):
+            powers[row][c] = powers[row][c - 1] * base
+    out: dict[TypeVector, Fraction] = {}
+    template = [0] * k
+    for small in enumerate_types(len(sup), n):
+        w = multiset_count(small)
+        for row, c in enumerate(small.counts):
             if c:
-                if p == 0:
-                    w = Fraction(0)
-                    break
-                w *= p**c
-        if w:
-            weights[mu] = w
-    return ExchangeableLaw(alphabet, n, weights)
+                w *= powers[row][c]
+                template[sup[row]] = c
+        out[_make_type(tuple(template))] = Fraction(w, scale)
+        for pos in sup:
+            template[pos] = 0
+    return out
 
 
 def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:
@@ -319,6 +346,44 @@ def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
     return [
         tuple(Fraction(c, depth) for c in tv.counts) for tv in enumerate_types(k, depth)
     ]
+
+
+def _reproducing_lp(
+    P: ExchangeableLaw, columns: Sequence[WeightMap], signed: bool
+) -> LinearProgram:
+    """The program "combine the columns into ``P``": one row per mass-``n``
+    type, one sparse column of type weights per candidate measure.
+
+    Unsigned, the variables are nonnegative column weights and the objective
+    is 0: a feasibility program for a nonnegative mixture.  Signed, they are
+    the positive parts then the negative parts of the weights, and the
+    objective is their sum: the least total variation of a signed
+    combination.  The row duals of the signed program are a function on the
+    mass-``n`` types bounded by 1 in absolute value on every column.
+    """
+    mus = enumerate_types(P.alphabet.size, P.n)
+    index = {mu: r for r, mu in enumerate(mus)}
+    width = len(columns)
+    nvars = 2 * width if signed else width
+    rows = [[Fraction(0)] * nvars for _ in mus]
+    for v, column in enumerate(columns):
+        for mu, coef in column.items():
+            rows[index[mu]][v] = coef
+            if signed:
+                rows[index[mu]][width + v] = -coef
+    constraints = [(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)]
+    return LinearProgram.build("min", [1 if signed else 0] * nvars, constraints)
+
+
+def _grid_program(
+    P: ExchangeableLaw, depth: int, signed: bool
+) -> tuple[list[tuple[Fraction, ...]], LinearProgram]:
+    """The depth-``depth`` grid parameters and the program reproducing ``P``
+    from their product laws (see :func:`_reproducing_lp`)."""
+    ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
+    thetas = simplex_grid(P.alphabet.size, depth)
+    columns = [_product_type_weights(theta, P.n) for theta in thetas]
+    return thetas, _reproducing_lp(P, columns, signed)
 
 
 __all__ = [

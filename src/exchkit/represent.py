@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .caps import ensure_within_cap
 from .errors import InputError, RepresentationError
-from .measures import ExchangeableLaw, simplex_grid
-from .ratlp import LinearProgram, LpStatus, solve
+from .measures import ExchangeableLaw, _grid_program, _product_type_weights, simplex_grid
+from .ratlp import LpStatus, solve
 from .symmetrize import SymmetricFunction, expectation
-from .typespace import TypeVector, as_fraction, enumerate_types, type_count
+from .typespace import TypeVector, as_fraction
 
 Atom = tuple[Fraction, tuple[Fraction, ...]]
 
@@ -69,20 +68,6 @@ class SignedMixture:
         return len(self.atoms[0][1]) if self.atoms else 0
 
 
-def _moment_rows(thetas: Sequence[tuple[Fraction, ...]], n: int, k: int):
-    """Type weights of each grid product law, as dense rows per type."""
-    from .extend import _product_type_weights  # sparse multinomial helper
-
-    mus = enumerate_types(k, n)
-    mu_index = {mu: r for r, mu in enumerate(mus)}
-    rows = [[Fraction(0)] * len(thetas) for _ in mus]
-    for v, theta in enumerate(thetas):
-        for tv, w in _product_type_weights(theta, n).items():
-            if w:
-                rows[mu_index[tv]][v] = w
-    return mus, rows
-
-
 def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     """Minimum-total-variation signed mixture of grid product laws.
 
@@ -95,28 +80,17 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     """
     if grid_depth < 1:
         raise InputError("signed_mixture: grid_depth must be >= 1")
-    k, n = P.alphabet.size, P.n
     depth = grid_depth
     last_farkas = None
     for _ in range(5):
-        ensure_within_cap(type_count(k, depth), "simplex grid")
-        thetas = simplex_grid(k, depth)
-        mus, rows = _moment_rows(thetas, n, k)
-        natoms = len(thetas)
-        # Variables: positive parts then negative parts of each atom weight.
-        constraints = tuple(
-            (tuple(rows[r]) + tuple(-c for c in rows[r]), "=", P.weight(mu))
-            for r, mu in enumerate(mus)
-        )
-        lp = LinearProgram.build("min", [1] * (2 * natoms), constraints)
+        thetas, lp = _grid_program(P, depth, signed=True)
         out = solve(lp)
         if out.status is LpStatus.OPTIMAL:
-            atoms = []
-            for v, theta in enumerate(thetas):
-                weight = out.primal[v] - out.primal[natoms + v]
-                if weight:
-                    atoms.append((weight, theta))
-            return SignedMixture(tuple(atoms))
+            natoms = len(thetas)
+            return SignedMixture(tuple(
+                (out.primal[v] - out.primal[natoms + v], theta)
+                for v, theta in enumerate(thetas)
+            ))
         last_farkas = out.certificate
         depth *= 2
     raise RepresentationError(
@@ -133,8 +107,6 @@ def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
     mixtures; whether the result is a law is the caller's check.  Zero
     entries are dropped, so comparing against ``law.weights`` is exact.
     """
-    from .extend import _product_type_weights
-
     if not mix.atoms:
         raise InputError("reconstruct: mixture has no atoms")
     if n < 1:
@@ -175,8 +147,6 @@ def tv_lower_bound(
     bound when the simplex maximum falls between grid points - hence the
     ``grid_only`` flag on the result.
     """
-    from .extend import _product_type_weights
-
     if P.alphabet != g.alphabet or P.n != g.m:
         raise InputError("tv_lower_bound: law and function are not compatible")
     if grid_depth < 1:

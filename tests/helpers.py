@@ -84,4 +84,5 @@ def assert_report_certified(P: ExchangeableLaw, report: ExtendReport) -> None:
         assert report.norm > 1
         assert report.refutation is not None and report.witness is None
         g = report.refutation
-        assert expectation(P, g) > sup_norm(apply_U(g, report.N))
+        assert sup_norm(apply_U(g, report.N)) == 1
+        assert expectation(P, g) == report.norm

@@ -165,6 +165,18 @@ def test_exit_code_2_on_capacity(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_exit_code_3_on_internal_error(capsys, monkeypatch):
+    from exchkit import cli
+
+    def broken(args):
+        raise AssertionError("simplex: pivot on zero entry")
+
+    monkeypatch.setitem(cli._HANDLERS, "norm", broken)
+    code, out, err = run_cli(capsys, "norm", URN_LAW, "--N", "3")
+    assert code == 3 and out == ""
+    assert err == "error: internal: simplex: pivot on zero entry\n"
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "norm", URN_LAW, "--N", "3")
     assert code == 0

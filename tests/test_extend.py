@@ -11,7 +11,6 @@ from exchkit.extend import (
     InfiniteOutcome,
     Verdict,
     _transport_witness,
-    _witness_by_lp,
     check_extendible,
     corollary_criterion,
     covariance_bound,
@@ -22,6 +21,7 @@ from exchkit.extend import (
     staircase_mixture,
 )
 from exchkit.measures import marginalize, product_law
+from exchkit.ratlp import solve
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import TypeVector
 
@@ -69,14 +69,26 @@ def test_check_extendible_product_witness():
     assert_report_certified(P, report)
 
 
-def test_lp_route_agrees_with_fast_paths():
-    # exercise the witness LP directly on laws the fast paths also cover
+def test_lp_route_agrees_with_fast_paths(monkeypatch):
+    # switch the fast paths off so the norm program decides laws they cover,
+    # and count its solves: one per decision, whichever the verdict
+    import exchkit.extend as extend
+
+    solves = []
+
+    def counted(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "staircase_mixture", lambda P: None)
+    monkeypatch.setattr(extend, "solve", counted)
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
-    witness, refutation = _witness_by_lp(P, 4)
-    assert refutation is None and marginal_matches(witness, P)
-    witness, refutation = _witness_by_lp(URN, 3)
-    assert witness is None
+    report = check_extendible(P, 4)
+    assert report.refutation is None and marginal_matches(report.witness, P)
+    refutation = check_extendible(URN, 3).refutation
     assert expectation(URN, refutation) > sup_norm(apply_U(refutation, 3))
+    assert len(solves) == 2
 
 
 def test_transport_witness_fast_path():
@@ -94,6 +106,16 @@ def test_staircase_mixture_detection():
     assert staircase_mixture(URN) is None
     witness = mixture_extension(atoms, 5, law.alphabet)
     assert marginal_matches(witness, law)
+
+
+def test_mixture_extension_respects_cap(monkeypatch):
+    from exchkit.errors import CapacityError
+
+    atoms = ((Fraction(1), (Fraction(1, 2), Fraction(1, 2))),)
+    monkeypatch.setenv("EXCHKIT_CAP", "4")
+    with pytest.raises(CapacityError):
+        mixture_extension(atoms, 4, URN.alphabet)  # 5 mass-4 types over 2 symbols
+    assert mixture_extension(atoms, 3, URN.alphabet).n == 3
 
 
 def test_corollary_criterion_examples():
