@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
+from .extend import staircase_mixture
 from .measures import ExchangeableLaw
 from .represent import SignedMixture
 from .typespace import Alphabet, RationalLike, TypeVector, as_fraction
@@ -81,10 +82,11 @@ def dyadic_max_law(
     nonincreasing, nonnegative, and not identically zero (this is what makes
     both the law and its telescoping decomposition nonnegative).
 
-    Returns the law together with its mixture of prefix-uniform product
-    laws: weights ``c * (profile[r] - profile[r+1]) * r**2`` on the uniform
-    distribution over the first ``r`` cells.  The mixture reconstructs the
-    law exactly and certifies infinite extendibility.
+    Returns the law together with its staircase mixture of prefix-uniform
+    product laws, as found by :func:`extend.staircase_mixture`: weights
+    ``c * (profile[r] - profile[r+1]) * r**2`` on the uniform distribution
+    over the first ``r`` cells.  The mixture reconstructs the law exactly
+    and certifies infinite extendibility.
     """
     if level < 1:
         raise InputError("dyadic_max_law: level must be >= 1")
@@ -122,14 +124,10 @@ def dyadic_max_law(
             weights[TypeVector(tuple(counts))] = 2 * p
     law = ExchangeableLaw(alphabet, 2, weights)
 
-    atoms = []
-    for r in range(1, cells + 1):
-        nxt = values[r] if r < cells else Fraction(0)
-        weight = c * (values[r - 1] - nxt) * r * r
-        if weight:
-            theta = tuple(Fraction(1, r) if i < r else Fraction(0) for i in range(cells))
-            atoms.append((weight, theta))
-    return law, SignedMixture(tuple(atoms))
+    atoms = staircase_mixture(law)
+    if atoms is None:
+        raise AssertionError("dyadic_max_law: the law is not a staircase")
+    return law, SignedMixture(atoms)
 
 
 def _pair_table(level: int, values: Sequence[Fraction]) -> list[list[Fraction]]:

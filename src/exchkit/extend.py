@@ -261,20 +261,18 @@ def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
     m = _pair_matrix(P)
     profile = [m[r][r] for r in range(k)]
     for a in range(k):
-        for b in range(k):
-            if m[a][b] != profile[max(a, b)]:
-                return None
+        # row a must read profile[max(a, b)] for b = 0..k-1
+        if m[a] != [profile[a]] * a + profile[a:]:
+            return None
     if any(profile[r] < profile[r + 1] for r in range(k - 1)) or profile[-1] < 0:
         return None
     atoms: list[Atom] = []
+    zero = Fraction(0)
     for r in range(1, k + 1):
-        nxt = profile[r] if r < k else Fraction(0)
+        nxt = profile[r] if r < k else zero
         weight = (profile[r - 1] - nxt) * r * r
         if weight:
-            theta = tuple(
-                Fraction(1, r) if i < r else Fraction(0) for i in range(k)
-            )
-            atoms.append((weight, theta))
+            atoms.append((weight, (Fraction(1, r),) * r + (zero,) * (k - r)))
     if sum((w for w, _ in atoms), Fraction(0)) != 1:
         return None
     return tuple(atoms)

@@ -1,14 +1,21 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-Two-phase primal simplex on a dense tableau, Bland's anti-cycling rule,
-every number a :class:`fractions.Fraction`.  Outcomes always carry enough
-data to be re-checked independently by :func:`verify`:
+Two-phase primal simplex on a dense tableau with Bland's anti-cycling rule.
+The tableau is exact but fraction-free: each row is a list of integers over
+one positive denominator, so a pivot costs integer multiplications and one
+gcd per row rather than a gcd per entry.  Every number in an outcome is a
+:class:`fractions.Fraction`, and outcomes always carry enough data to be
+re-checked independently by :func:`verify`:
 
 * ``OPTIMAL``   - primal point, objective value, and a dual vector with
   exact strong duality;
 * ``INFEASIBLE`` - a Farkas ray: a sign-correct combination of the
   constraints proving emptiness;
 * ``UNBOUNDED`` - a feasible point plus an improving recession direction.
+
+The number of pivots in one solve, over both phases, is bounded by the
+resource cap (:mod:`exchkit.caps`); Bland's rule guarantees termination, so
+the cap only limits the work.
 
 Variables have lower bound 0 or are free; finite upper bounds are handled as
 appended ``x_j <= u_j`` rows.  Certificates are indexed by the constraint
@@ -25,6 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .caps import ensure_within_cap
@@ -134,8 +142,35 @@ def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
     return tuple(-c for c in lp.objective)
 
 
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integers over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(
+    row: list[int], den: int, f: int, prow: list[int], p: int
+) -> tuple[list[int], int]:
+    """``row/den - (f/den) * (prow/p)`` as a reduced integer row over its
+    denominator: ``(p*row - f*prow) / (den*p)``, divided by one gcd."""
+    if p == 1:
+        new = [a - f * b for a, b in zip(row, prow)]
+    else:
+        new = [p * a - f * b for a, b in zip(row, prow)]
+        den *= p
+    g = gcd(den, *new)
+    if g != 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
 class _Simplex:
-    """One solve.  Internal variables are all >= 0 (free vars are split)."""
+    """One solve.  Internal variables are all >= 0 (free vars are split).
+
+    Tableau row ``i`` is the integer list ``T[i]`` over the positive
+    denominator ``den[i]``; the objective row is ``obj`` over ``oden``.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -150,29 +185,33 @@ class _Simplex:
             if lp.lower[j] is None:
                 self.cols.append((j, -1))
         ncols = len(self.cols)
-        maxobj = _max_objective(lp)
-        self.cost = [sign * maxobj[j] for j, sign in self.cols]
+        # Cost of each column in the maximization form, over denominator cden.
+        ints, self.cden = _integer_row(lp.objective)
+        sense = 1 if lp.sense == "max" else -1
+        self.cost = {
+            col: sense * sign * ints[j] for col, (j, sign) in enumerate(self.cols) if ints[j]
+        }
 
-        # Sign-normalize rows so every rhs is nonnegative.
+        # Scale each row to integers over its own denominator, and
+        # sign-normalize it so every rhs is nonnegative.
         self.flip: list[int] = []
         self.rels: list[str] = []
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        self.den: list[int] = []
         for coeffs, rel, b in ext:
+            ints, den = _integer_row((*coeffs, b))
+            flip = 1
             if b < 0:
-                coeffs = tuple(-c for c in coeffs)
-                b = -b
+                flip = -1
                 rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-                self.flip.append(-1)
-            else:
-                self.flip.append(1)
-            rows.append([sign * coeffs[j] for j, sign in self.cols])
-            rhs.append(b)
+            rows.append([flip * sign * ints[j] for j, sign in self.cols])
+            rhs.append(flip * ints[-1])
+            self.den.append(den)
+            self.flip.append(flip)
             self.rels.append(rel)
 
         m = len(rows)
-        self.m = m
-        self.ncols = ncols
         # Column layout: structurals | slack/surplus | artificials | rhs.
         self.slack_col = [-1] * m
         self.art_col = [-1] * m
@@ -188,16 +227,17 @@ class _Simplex:
         self.width = width  # columns, excluding rhs slot
         self.artificials = {c for c in self.art_col if c >= 0}
 
-        zero = Fraction(0)
-        self.T: list[list[Fraction]] = []
+        self.T: list[list[int]] = []
         self.basis: list[int] = []
         self.row_id: list[int] = list(range(m))  # surviving row -> ext row index
+        self.pivots = 0
         for i in range(m):
-            row = rows[i] + [zero] * (width - ncols) + [rhs[i]]
+            den = self.den[i]
+            row = rows[i] + [0] * (width - ncols) + [rhs[i]]
             if self.slack_col[i] >= 0:
-                row[self.slack_col[i]] = Fraction(1 if self.rels[i] == "<=" else -1)
+                row[self.slack_col[i]] = den if self.rels[i] == "<=" else -den
             if self.art_col[i] >= 0:
-                row[self.art_col[i]] = Fraction(1)
+                row[self.art_col[i]] = den
             self.T.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i])
 
@@ -209,40 +249,48 @@ class _Simplex:
         p = prow[col]
         if p == 0:
             raise AssertionError("simplex: pivot on zero entry")
-        if p != 1:
-            inv = 1 / p
-            T[row] = prow = [v * inv for v in prow]
+        self.pivots += 1
+        ensure_within_cap(self.pivots, "simplex pivots")
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        g = gcd(*prow)
+        if g != 1:
+            prow = [v // g for v in prow]
+            p //= g
+        T[row] = prow
+        self.den[row] = p
         for r, other in enumerate(T):
             if r == row:
                 continue
             f = other[col]
             if f:
-                T[r] = [a - f * b for a, b in zip(other, prow)]
+                T[r], self.den[r] = _eliminate(other, self.den[r], f, prow, p)
         f = self.obj[col]
         if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, prow)]
+            self.obj, self.oden = _eliminate(self.obj, self.oden, f, prow, p)
         self.basis[row] = col
 
-    def _set_objective(self, cost_by_col: dict[int, Fraction]) -> None:
-        # obj[j] = reduced cost of column j; obj[-1] = -(objective value).
-        zero = Fraction(0)
-        obj = [cost_by_col.get(j, zero) for j in range(self.width)] + [zero]
-        for i, b in enumerate(self.basis):
-            cb = cost_by_col.get(b, zero)
-            if cb:
-                row = self.T[i]
-                obj = [a - cb * v for a, v in zip(obj, row)]
-        self.obj = obj
+    def _set_objective(self, cost: dict[int, int], cden: int) -> None:
+        # obj[j] / oden = reduced cost of column j, for column costs
+        # cost[j] / cden; obj[-1] / oden = -(objective value).
+        basic = [(cost[b], i) for i, b in enumerate(self.basis) if b in cost]
+        scale = lcm(*(self.den[i] for _, i in basic))
+        obj = [0] * (self.width + 1)
+        for j, c in cost.items():
+            obj[j] = c * scale
+        for c, i in basic:
+            w = c * (scale // self.den[i])
+            obj = [a - w * v for a, v in zip(obj, self.T[i])]
+        oden = cden * scale
+        g = gcd(oden, *obj)
+        self.obj = [v // g for v in obj]
+        self.oden = oden // g
 
     def _iterate(self, banned: set[int]) -> Optional[int]:
         """Bland's rule until optimal (returns None) or unbounded
         (returns the entering column)."""
-        guard = 0
-        limit = 1000 + 50 * (self.m + self.width)
         while True:
-            guard += 1
-            if guard > limit:
-                raise AssertionError("simplex: iteration limit exceeded")
             enter = -1
             for j in range(self.width):
                 if j not in banned and self.obj[j] > 0:
@@ -250,16 +298,19 @@ class _Simplex:
                     break
             if enter < 0:
                 return None
+            # Minimum ratio rhs/coef over rows with coef > 0; the row
+            # denominators cancel, and ratios compare by cross-multiplying.
             leave = -1
-            best: Fraction | None = None
+            best_rhs = best_coef = 0
             for i, row in enumerate(self.T):
                 coef = row[enter]
                 if coef > 0:
-                    ratio = row[-1] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+                    here = row[-1] * best_coef
+                    there = best_rhs * coef
+                    if leave < 0 or here < there or (
+                        here == there and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
+                        best_rhs, best_coef = row[-1], coef
                         leave = i
             if leave < 0:
                 return enter
@@ -269,14 +320,14 @@ class _Simplex:
 
     def solve(self) -> LpOutcome:
         if self.artificials:
-            self._set_objective({c: Fraction(-1) for c in self.artificials})
+            self._set_objective(dict.fromkeys(self.artificials, -1), 1)
             if self._iterate(banned=set()) is not None:
                 raise AssertionError("simplex: phase 1 cannot be unbounded")
-            if -self.obj[-1] < 0:
+            if self.obj[-1] > 0:
                 return self._infeasible_outcome()
             self._purge_artificials()
 
-        self._set_objective({j: c for j, c in enumerate(self.cost) if c})
+        self._set_objective(self.cost, self.cden)
         enter = self._iterate(banned=self.artificials)
         if enter is not None:
             return self._unbounded_outcome(enter)
@@ -298,6 +349,7 @@ class _Simplex:
                     i += 1
                 else:
                     del self.T[i]
+                    del self.den[i]
                     del self.basis[i]
                     del self.row_id[i]
             else:
@@ -309,7 +361,7 @@ class _Simplex:
         zero = Fraction(0)
         x = [zero] * self.width
         for i, b in enumerate(self.basis):
-            x[b] = self.T[i][-1]
+            x[b] = Fraction(self.T[i][-1], self.den[i])
         return x
 
     def _to_original(self, internal: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -329,9 +381,9 @@ class _Simplex:
             art = self.art_col[ext_i]
             if art >= 0:
                 c_unit = Fraction(-1) if phase1 else zero
-                y = c_unit - self.obj[art]
+                y = c_unit - Fraction(self.obj[art], self.oden)
             else:
-                y = -self.obj[self.slack_col[ext_i]]
+                y = -Fraction(self.obj[self.slack_col[ext_i]], self.oden)
             y_ext[ext_i] = self.flip[ext_i] * y
         return tuple(y_ext)
 
@@ -345,7 +397,7 @@ class _Simplex:
         for i, b in enumerate(self.basis):
             coef = self.T[i][enter]
             if coef:
-                direction[b] = -coef
+                direction[b] = -Fraction(coef, self.den[i])
         return LpOutcome(
             status=LpStatus.UNBOUNDED,
             primal=self._to_original(self._internal_point()),
@@ -353,7 +405,7 @@ class _Simplex:
         )
 
     def _optimal_outcome(self) -> LpOutcome:
-        value = -self.obj[-1]
+        value = -Fraction(self.obj[-1], self.oden)
         if self.lp.sense == "min":
             value = -value
         return LpOutcome(

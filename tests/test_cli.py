@@ -1,11 +1,13 @@
 """CLI contract: schemas, exit codes, determinism, golden outputs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 
+import exchkit
 from exchkit.cli import main
 from exchkit.serialize import law_from_dict
 
@@ -190,10 +192,14 @@ def test_seed_recorded_in_meta(capsys):
 
 
 def test_console_entrypoint_via_module():
+    # the child must import the same package as this process, installed or not
+    src = str(Path(exchkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "exchkit", "types", '{"alphabet": ["a","b"], "mass": 2}'],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["types"] == ["0:2", "1:1", "2:0"]

@@ -20,10 +20,10 @@ from exchkit.extend import (
     probe_infinite,
     staircase_mixture,
 )
-from exchkit.measures import marginalize, product_law
+from exchkit.measures import ExchangeableLaw, marginalize, product_law
 from exchkit.ratlp import solve
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
-from exchkit.typespace import TypeVector
+from exchkit.typespace import Alphabet, TypeVector
 
 from helpers import assert_report_certified, random_law
 
@@ -47,6 +47,22 @@ def test_norm_examples():
     for _ in range(5):
         law = random_law(rng, 3, 2)
         assert norm_EN(law, law.n) == 1
+
+
+def test_norm_ladder_exact_values():
+    # exact norms of two refuted laws on growing LPs: the integer-row simplex
+    # must land on these exact rationals, not merely close to them
+    law = ExchangeableLaw(
+        Alphabet.of_size(3),
+        3,
+        {T((1, 1, 1)): Fraction(1, 2), T((3, 0, 0)): Fraction(1, 2)},
+    )
+    expected = [2, Fraction(8, 3), Fraction(8, 3), Fraction(113, 36),
+                Fraction(10, 3), Fraction(17, 5), Fraction(18, 5)]
+    assert [norm_EN(law, N) for N in range(4, 11)] == expected
+    pairs, _ = disjoint_pairs_law()
+    expected = [2, 2, Fraction(7, 3), Fraction(7, 3)]
+    assert [norm_EN(pairs, N) for N in range(3, 7)] == expected
 
 
 def test_norm_requires_target_at_least_n():

@@ -137,3 +137,80 @@ def test_oracle_agreement_sample():
         assert status is out.status
         if status is LpStatus.OPTIMAL:
             assert value == out.objective_value
+
+
+def _klee_minty(d):
+    # max sum 2^(d-j) x_j  s.t.  2 * sum_{j<i} 2^(i-j) x_j + x_i <= 5^i
+    objective = [2 ** (d - j) for j in range(1, d + 1)]
+    rows = []
+    for i in range(1, d + 1):
+        coeffs = [2 * 2 ** (i - j) for j in range(1, i)] + [1] + [0] * (d - i)
+        rows.append((coeffs, "<=", 5**i))
+    return LinearProgram.build("max", objective, rows)
+
+
+def test_pivot_count_is_capped(monkeypatch):
+    # Bland's rule takes 15 pivots on the d=5 cube: more than a cap of 10
+    lp = _klee_minty(5)
+    monkeypatch.setenv("EXCHKIT_CAP", "10")
+    with pytest.raises(CapacityError, match="simplex pivots"):
+        solve(lp)
+    monkeypatch.delenv("EXCHKIT_CAP")
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert out.objective_value == 3125
+    assert verify(lp, out)
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the textbook rule cycles here, Bland's rule must not
+    lp = LinearProgram.build(
+        "max",
+        [Fraction(3, 4), -150, Fraction(1, 50), -6],
+        [
+            ((Fraction(1, 4), -60, Fraction(-1, 25), 9), "<=", 0),
+            ((Fraction(1, 2), -90, Fraction(-1, 50), 3), "<=", 0),
+            ((0, 0, 1, 0), "<=", 1),
+        ],
+    )
+    out = solve(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert out.objective_value == Fraction(1, 20)
+    assert out.primal == (Fraction(1, 25), 0, 1, 0)
+    assert verify(lp, out)
+
+
+def test_oracle_agreement_mixed_denominators():
+    # rows mixing denominators 7, 11 and 13, negative right-hand sides,
+    # free variables and upper bounds: every tableau row is scaled to
+    # integers by its own denominator
+    rng = random.Random(29)
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 7, 11, 13)))
+
+    statuses = set()
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        constraints = []
+        for _ in range(rng.randint(2, 4)):
+            row = tuple(coeff() for _ in range(n))
+            rhs = -abs(coeff()) if rng.random() < 0.4 else coeff()
+            constraints.append((row, rng.choice(("<=", "=", ">=")), rhs))
+        free = [j for j in range(n) if rng.random() < 0.3]
+        upper = {j: abs(coeff()) for j in range(n) if rng.random() < 0.3}
+        lp = LinearProgram.build(
+            rng.choice(("max", "min")),
+            [coeff() for _ in range(n)],
+            constraints,
+            free=free,
+            upper=upper,
+        )
+        out = solve(lp)
+        assert verify(lp, out)
+        status, value = solve_lp_by_enumeration(lp)
+        assert status is out.status
+        if status is LpStatus.OPTIMAL:
+            assert value == out.objective_value
+        statuses.add(status)
+    assert statuses == set(LpStatus)
