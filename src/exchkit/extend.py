@@ -34,6 +34,7 @@ is verified against the marginal identities before being trusted.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .errors import InputError
 from .measures import (
     ExchangeableLaw,
     _grid_program,
-    _product_type_weights,
+    _mixture_type_weights,
     _reproducing_lp,
     invert_urn,
     marginalize,
@@ -56,6 +57,7 @@ from .typespace import (
     Alphabet,
     RationalLike,
     TypeVector,
+    _make_type,
     as_fraction,
     enumerate_types,
     subtypes,
@@ -126,29 +128,6 @@ def _check_target(P: ExchangeableLaw, N: int) -> None:
     ensure_within_cap(type_count(P.alphabet.size, N), "mass-N type space")
 
 
-def _bounded_compositions(caps: Sequence[int], mass: int):
-    """Tuples ``0 <= m_i <= caps[i]`` with ``sum == mass`` (small widths)."""
-    parts = len(caps)
-    suffix = [0] * (parts + 1)
-    for i in range(parts - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    if mass > suffix[0]:
-        return
-    chosen = [0] * parts
-
-    def rec(pos: int, remaining: int):
-        if pos == parts:
-            yield tuple(chosen)
-            return
-        lo = max(0, remaining - suffix[pos + 1])
-        hi = min(caps[pos], remaining)
-        for c in range(lo, hi + 1):
-            chosen[pos] = c
-            yield from rec(pos + 1, remaining - c)
-
-    yield from rec(0, mass)
-
-
 def _sparse_key(tv: TypeVector) -> tuple[tuple[int, int], ...]:
     return tuple((i, c) for i, c in enumerate(tv.counts) if c)
 
@@ -158,26 +137,39 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
 
     Accumulates in support-local coordinates (witness types can live on a
     wide alphabet while touching only a few symbols each) and compares
-    against every mass-``n`` weight of ``P``, zeros included.
+    against every mass-``n`` weight of ``P``, zeros included.  The witness
+    weights are put over one common denominator ``L``, so the sums are
+    integer: the marginal weight of ``mu`` is ``acc[mu] / (L * C(N, n))``.
+    The local draws of an urn depend only on its nonzero counts, so each
+    distinct count tuple is expanded once per call.
     """
     if witness.alphabet != P.alphabet or witness.n < P.n:
         return False
     n = P.n
-    denominator = math.comb(witness.n, n)
-    acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
+    common = math.lcm(*(q.denominator for q in witness.weights.values()))
+    draws: dict[tuple[int, ...], list[tuple[tuple[tuple[int, int], ...], int]]] = {}
+    acc: dict[tuple[tuple[int, int], ...], int] = {}
+    positions = range(P.alphabet.size)
     for nu, q in witness.weights.items():
-        sup = [i for i, c in enumerate(nu.counts) if c]
-        caps = [nu.counts[i] for i in sup]
-        for local in _bounded_compositions(caps, n):
-            ways = 1
-            for cap, m in zip(caps, local):
-                if m:
-                    ways *= math.comb(cap, m)
-            key = tuple((i, m) for i, m in zip(sup, local) if m)
-            coeff = q * Fraction(ways, denominator)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
+        sup = list(itertools.compress(positions, nu.counts))
+        caps = tuple(filter(None, nu.counts))
+        table = draws.get(caps)
+        if table is None:
+            table = draws[caps] = []
+            for local in subtypes(_make_type(caps), n):
+                ways = 1
+                for cap, m in zip(caps, local.counts):
+                    if m:
+                        ways *= math.comb(cap, m)
+                table.append((_sparse_key(local), ways))
+        q_int = q.numerator * (common // q.denominator)
+        for local, ways in table:
+            key = tuple([(sup[pos], m) for pos, m in local])
+            acc[key] = acc.get(key, 0) + q_int * ways
+    scale = common * math.comb(witness.n, n)
     for mu in enumerate_types(P.alphabet.size, n):
-        if acc.get(_sparse_key(mu), Fraction(0)) != P.weight(mu):
+        w = P.weight(mu)
+        if acc.get(_sparse_key(mu), 0) * w.denominator != w.numerator * scale:
             return False
     return True
 
@@ -281,15 +273,16 @@ def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
 def mixture_extension(
     atoms: Sequence[Atom], N: int, alphabet: Alphabet
 ) -> ExchangeableLaw:
-    """The length-``N`` law of a nonnegative product mixture."""
+    """The length-``N`` law of a nonnegative product mixture.
+
+    All atoms are summed over one common denominator (see
+    :func:`~exchkit.measures._mixture_type_weights`); every weight of the
+    returned law is still a ``Fraction``.
+    """
     ensure_within_cap(type_count(alphabet.size, N), "mass-N type space")
-    weights: dict[TypeVector, Fraction] = {}
-    for w, theta in atoms:
-        if w < 0:
-            raise InputError("mixture_extension: weights must be nonnegative")
-        for tv, pw in _product_type_weights(theta, N).items():
-            weights[tv] = weights.get(tv, Fraction(0)) + w * pw
-    return ExchangeableLaw(alphabet, N, weights)
+    if any(w < 0 for w, _ in atoms):
+        raise InputError("mixture_extension: weights must be nonnegative")
+    return ExchangeableLaw(alphabet, N, _mixture_type_weights(atoms, N))
 
 
 # -- the decision ------------------------------------------------------------------

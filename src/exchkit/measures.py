@@ -30,12 +30,13 @@ Everything here is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .caps import ensure_within_cap
 from .errors import InputError
@@ -72,8 +73,7 @@ class ExchangeableLaw:
         if self.n < 1:
             raise InputError("law: n must be a positive integer")
         k = self.alphabet.size
-        clean: dict[TypeVector, Fraction] = {}
-        total = Fraction(0)
+        kept: list[tuple[TypeVector, Fraction]] = []
         for tv, w in self.weights.items():
             if not isinstance(tv, TypeVector):
                 raise InputError(f"law: weights keyed by TypeVector, got {tv!r}")
@@ -84,14 +84,17 @@ class ExchangeableLaw:
                     f"law: type {tv.typestring()} has mass {tv.mass}, expected {self.n}"
                 )
             w = as_fraction(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise InputError(f"law: negative weight at {tv.typestring()}")
-            if w > 0:
-                clean[tv] = w
-            total += w
-        if total != 1:
-            raise InputError(f"law: weights must sum to 1, got {total}")
-        object.__setattr__(self, "weights", MappingProxyType(dict(sorted(clean.items()))))
+            if w.numerator:
+                kept.append((tv, w))
+        # One exact integer sum over the common denominator of the weights.
+        common = math.lcm(*(w.denominator for _, w in kept))
+        total = sum(w.numerator * (common // w.denominator) for _, w in kept)
+        if total != common:
+            raise InputError(f"law: weights must sum to 1, got {Fraction(total, common)}")
+        kept.sort(key=lambda item: item[0].counts)
+        object.__setattr__(self, "weights", MappingProxyType(dict(kept)))
 
     def weight(self, tv: TypeVector) -> Fraction:
         return self.weights.get(tv, Fraction(0))
@@ -170,32 +173,51 @@ def product_law(
 
 
 def _product_type_weights(theta: Sequence[Fraction], n: int) -> dict[TypeVector, Fraction]:
-    """Multinomial type weights, enumerating over the support of theta only.
+    """Multinomial type weights of one product law (see :func:`_mixture_type_weights`)."""
+    return _mixture_type_weights(((1, theta),), n)
 
-    Works over a common denominator so each weight costs integer power-table
-    lookups plus a single Fraction construction.
+
+def _mixture_type_weights(
+    atoms: Iterable[tuple[RationalLike, Sequence[Fraction]]], n: int
+) -> dict[TypeVector, Fraction]:
+    """Type weights of ``sum_j w_j * product_law(theta_j, n)``.
+
+    The weights may have either sign.  Zero entries are dropped and the
+    types come out lexicographically increasing.  Every atom is put over
+    one common denominator ``L = lcm_j(w_j.den * D_j**n)``, with ``D_j``
+    the lcm of the denominators of ``theta_j``, so that each
+    (atom, type) pair costs integer multiplies only and each output entry
+    a single Fraction.
     """
-    k = len(theta)
-    sup = [i for i, p in enumerate(theta) if p]
-    common = math.lcm(*(theta[i].denominator for i in sup))
-    scale = common**n
-    powers = [[1] * (n + 1) for _ in sup]
-    for row, pos in enumerate(sup):
-        base = theta[pos].numerator * (common // theta[pos].denominator)
-        for c in range(1, n + 1):
-            powers[row][c] = powers[row][c - 1] * base
-    out: dict[TypeVector, Fraction] = {}
-    template = [0] * k
-    for small in enumerate_types(len(sup), n):
-        w = multiset_count(small)
-        for row, c in enumerate(small.counts):
-            if c:
-                w *= powers[row][c]
-                template[sup[row]] = c
-        out[_make_type(tuple(template))] = Fraction(w, scale)
+    prepared = []
+    for w, theta in atoms:
+        sup = [i for i, p in enumerate(theta) if p]
+        common = math.lcm(*(theta[i].denominator for i in sup))
+        prepared.append((w, theta, sup, common))
+    denominator = math.lcm(*(w.denominator * common**n for w, _, _, common in prepared))
+    acc: dict[tuple[int, ...], int] = {}
+    for w, theta, sup, common in prepared:
+        scale = w.numerator * (denominator // (w.denominator * common**n))
+        base = [0] * len(theta)
         for pos in sup:
-            template[pos] = 0
-    return out
+            base[pos] = theta[pos].numerator * (common // theta[pos].denominator)
+        counts = [0] * len(theta)
+        # A mass-n type on the support is a multiset of n support symbols.
+        # Its weight over D**n is the multinomial times the product of the
+        # drawn bases; the multinomial i! / prod(c!) is kept exact step by
+        # step as the draw grows.
+        for draw in itertools.combinations_with_replacement(sup, n):
+            ways = power = 1
+            for i, pos in enumerate(draw, 1):
+                c = counts[pos] + 1
+                counts[pos] = c
+                ways = ways * i // c
+                power *= base[pos]
+            key = tuple(counts)
+            acc[key] = acc.get(key, 0) + scale * ways * power
+            for pos in draw:
+                counts[pos] = 0
+    return {_make_type(c): Fraction(v, denominator) for c, v in sorted(acc.items()) if v}
 
 
 def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:

@@ -20,7 +20,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, RepresentationError
-from .measures import ExchangeableLaw, _grid_program, _product_type_weights, simplex_grid
+from .measures import (
+    ExchangeableLaw,
+    _grid_program,
+    _mixture_type_weights,
+    _product_type_weights,
+    simplex_grid,
+)
 from .ratlp import LpStatus, solve
 from .symmetrize import SymmetricFunction, expectation
 from .typespace import TypeVector, as_fraction
@@ -105,18 +111,16 @@ def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
 
     Pure linear algebra: entries may land outside [0, 1] for arbitrary
     mixtures; whether the result is a law is the caller's check.  Zero
-    entries are dropped, so comparing against ``law.weights`` is exact.
+    entries are dropped and the types come out lexicographically
+    increasing, so comparing against ``law.weights`` is exact.  The atoms
+    are summed in integers over one common denominator; every returned
+    value is a ``Fraction``.
     """
     if not mix.atoms:
         raise InputError("reconstruct: mixture has no atoms")
     if n < 1:
         raise InputError("reconstruct: n must be >= 1")
-    acc: dict[TypeVector, Fraction] = {}
-    for weight, theta in mix.atoms:
-        for tv, w in _product_type_weights(theta, n).items():
-            if w:
-                acc[tv] = acc.get(tv, Fraction(0)) + weight * w
-    return {tv: v for tv, v in sorted(acc.items()) if v}
+    return _mixture_type_weights(mix.atoms, n)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ fix the ``"p/q"`` text form used by every JSON surface.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import sub
 from typing import Iterator, Sequence, Union
 
 from .errors import InputError
@@ -181,22 +183,13 @@ def _make_type(counts: tuple[int, ...]) -> TypeVector:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Lexicographically increasing: first coordinate most significant.
-    if parts == 1:
-        yield (total,)
-        return
-    chosen = [0] * parts
-
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == parts - 1:
-            chosen[pos] = remaining
-            yield tuple(chosen)
-            return
-        for c in range(remaining + 1):
-            chosen[pos] = c
-            yield from rec(pos + 1, remaining - c)
-
-    yield from rec(0, total)
+    # Stars and bars: the parts - 1 bars sit at nondecreasing positions
+    # 0 <= s_1 <= ... <= total, and the parts are the gaps between them.
+    # combinations_with_replacement yields the positions in lexicographic
+    # order, which is the lexicographic order of the compositions.
+    first, last = (0,), (total,)
+    for bars in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, bars + last, first + bars))
 
 
 def enumerate_types(alphabet: Alphabet | int, mass: int) -> list[TypeVector]:

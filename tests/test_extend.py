@@ -1,5 +1,6 @@
 """Extendibility: norm, witnesses, refutations, probes, covariance."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +21,12 @@ from exchkit.extend import (
     probe_infinite,
     staircase_mixture,
 )
-from exchkit.measures import ExchangeableLaw, marginalize, product_law
+from exchkit.measures import ExchangeableLaw, marginalize, product_law, urn_measure
 from exchkit.ratlp import solve
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
-from exchkit.typespace import Alphabet, TypeVector
+from exchkit.typespace import Alphabet, TypeVector, enumerate_types, multiset_count
 
-from helpers import assert_report_certified, random_law
+from helpers import assert_report_certified, random_law, random_theta
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
@@ -122,6 +123,87 @@ def test_staircase_mixture_detection():
     assert staircase_mixture(URN) is None
     witness = mixture_extension(atoms, 5, law.alphabet)
     assert marginal_matches(witness, law)
+
+
+def _witness_with_denominators(rng, k, N, denominators):
+    """Random mass-N law whose weights mix the given denominators."""
+    types = enumerate_types(k, N)
+    raw = {
+        tv: Fraction(rng.randint(1, 9), rng.choice(denominators))
+        for tv in rng.sample(types, rng.randint(1, len(types)))
+    }
+    total = sum(raw.values())
+    return ExchangeableLaw(Alphabet.of_size(k), N, {tv: w / total for tv, w in raw.items()})
+
+
+def _agrees_with_marginalize(witness, P):
+    return marginal_matches(witness, P) == (
+        dict(marginalize(witness, P.n).weights) == dict(P.weights)
+    )
+
+
+def test_marginal_matches_agrees_with_marginalize():
+    rng = random.Random(43)
+    for _ in range(40):
+        k, N = rng.randint(1, 3), rng.randint(1, 5)
+        witness = _witness_with_denominators(rng, k, N, (7, 11, 13))
+        other = _witness_with_denominators(rng, k, N, (7, 11, 13))
+        for n in range(1, N + 1):
+            assert marginal_matches(witness, marginalize(witness, n))
+            assert _agrees_with_marginalize(witness, marginalize(other, n))
+    # weights whose common denominator is wider than a machine word
+    big = {T((5, 0, 0)): Fraction(1, 7**12), T((0, 5, 0)): Fraction(1, 11**10),
+           T((0, 0, 5)): Fraction(1, 13**9)}
+    big[T((2, 2, 1))] = 1 - sum(big.values())
+    witness = ExchangeableLaw(Alphabet.of_size(3), 5, big)
+    assert math.lcm(*(w.denominator for w in witness.weights.values())) > 2**64
+    for n in range(1, 6):
+        assert marginal_matches(witness, marginalize(witness, n))
+        shifted = marginalize(_witness_with_denominators(rng, 3, 5, (7, 11, 13)), n)
+        assert _agrees_with_marginalize(witness, shifted)
+
+
+def test_marginal_matches_rejects_moved_mass():
+    rng = random.Random(47)
+    witness = _witness_with_denominators(rng, 3, 4, (7, 11, 13))
+    (nu, q), (kappa, _) = list(witness.weights.items())[:2]
+    n = 2
+    assert urn_measure(nu, n) != urn_measure(kappa, n)
+    P = marginalize(witness, n)
+    for D in (q.denominator, 2**70):
+        moved = dict(witness.weights)
+        moved[nu] -= Fraction(1, D)
+        moved[kappa] += Fraction(1, D)
+        forged = ExchangeableLaw(witness.alphabet, 4, moved)  # still sums to 1
+        assert not marginal_matches(forged, P)
+
+
+def test_marginal_matches_rejects_incompatible_shapes():
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    witness = product_law((Fraction(1, 3), Fraction(2, 3)), 4)
+    assert marginal_matches(witness, P)
+    relabelled = ExchangeableLaw(Alphabet(("x", "y")), 4, witness.weights)
+    assert not marginal_matches(relabelled, P)
+    assert not marginal_matches(P, witness)  # witness.n < P.n
+
+
+def test_mixture_extension_equals_fraction_sum():
+    rng = random.Random(53)
+    for _ in range(20):
+        k, N = rng.randint(1, 4), rng.randint(1, 5)
+        weights = [Fraction(rng.randint(1, 2), p) for p in (7, 11, 13)]
+        weights.append(1 - sum(weights))
+        atoms = tuple((w, random_theta(rng, k)) for w in weights)
+        # the multinomial formula, summed in Fractions type by type
+        expected = {
+            tv: sum(
+                w * multiset_count(tv) * math.prod(t**c for t, c in zip(theta, tv.counts))
+                for w, theta in atoms
+            )
+            for tv in enumerate_types(k, N)
+        }
+        law = mixture_extension(atoms, N, Alphabet.of_size(k))
+        assert dict(law.weights) == {tv: v for tv, v in expected.items() if v}
 
 
 def test_mixture_extension_respects_cap(monkeypatch):

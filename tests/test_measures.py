@@ -178,6 +178,12 @@ def test_law_validation():
         ExchangeableLaw(alphabet, 2, {T((1, 1, 0)): Fraction(1)})  # wrong width
     with pytest.raises(InputError):
         ExchangeableLaw(alphabet, 2, {T((1, 0)): Fraction(1)})  # wrong mass
+    with pytest.raises(InputError):  # sums to 1 - 2**-70
+        ExchangeableLaw(
+            alphabet, 2, {T((1, 1)): Fraction(1, 2), T((2, 0)): Fraction(1, 2) - Fraction(1, 2**70)}
+        )
+    with pytest.raises(InputError):  # sums to 1 with a negative weight
+        ExchangeableLaw(alphabet, 2, {T((1, 1)): Fraction(3, 2), T((2, 0)): Fraction(-1, 2)})
     law = ExchangeableLaw(
         alphabet, 2, {T((1, 1)): Fraction(1), T((2, 0)): Fraction(0)}
     )

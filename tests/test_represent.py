@@ -68,6 +68,27 @@ def test_reconstruct_examples():
     assert values[T((2, 0))] == Fraction(2, 4) - 1
 
 
+def test_reconstruct_drops_zeros_and_sorts():
+    # 4 * (1/2, 1/2) - (1, 0) - (0, 1): the pure classes cancel exactly
+    cancel = SignedMixture((
+        (Fraction(4), HALF),
+        (Fraction(-1), (Fraction(1), Fraction(0))),
+        (Fraction(-1), (Fraction(0), Fraction(1))),
+    ))
+    assert reconstruct(cancel, 2) == {T((1, 1)): Fraction(2)}
+    # atoms that reach the types out of lexicographic order
+    third = Fraction(1, 3)
+    mix = SignedMixture((
+        (Fraction(3, 7), (Fraction(0), Fraction(0), Fraction(1))),
+        (Fraction(-2, 11), (Fraction(1), Fraction(0), Fraction(0))),
+        (Fraction(58, 77), (third, third, third)),
+    ))
+    out = reconstruct(mix, 3)
+    assert list(out) == sorted(out)
+    assert all(out.values()) and len(out) == 10
+    assert out[T((0, 0, 3))] == Fraction(3, 7) + Fraction(58, 77) / 27
+
+
 def test_reconstruct_requires_atoms():
     with pytest.raises(InputError):
         reconstruct(SignedMixture(()), 2)

@@ -32,6 +32,14 @@ def test_enumerate_single_symbol():
     assert [t.counts for t in enumerate_types(1, 5)] == [(5,)]
 
 
+def test_enumerate_types_matches_filtered_cube_in_order():
+    # lexicographic order, k = 1 and mass 0 included
+    for k in range(1, 5):
+        for mass in range(6):
+            cube = [c for c in itertools.product(range(mass + 1), repeat=k) if sum(c) == mass]
+            assert [t.counts for t in enumerate_types(k, mass)] == cube
+
+
 def test_enumerate_k3_mass4_against_brute_force():
     # Oracle: scan the full cube for 3-tuples summing to 4.
     brute = sorted(
