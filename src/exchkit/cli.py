@@ -30,7 +30,7 @@ from .extend import (
     norm_EN,
     probe_infinite,
 )
-from .measures import invert_urn, reconstruct_check, urn_measure
+from .measures import invert_urn, reconstruct_check, urn_coefficient, urn_measure
 from .oracle import solve_lp_by_enumeration, urn_law_by_enumeration
 from .ratlp import LinearProgram, solve, verify
 from .represent import reconstruct, signed_mixture
@@ -52,6 +52,8 @@ from .typespace import (
     enumerate_types,
     format_fraction,
     parse_fraction,
+    subtypes,
+    type_count,
 )
 from . import corpus as corpus_mod
 
@@ -156,10 +158,8 @@ def _cmd_types(args) -> dict:
         data.get("alphabet") if isinstance(data, dict) else None, "input.alphabet"
     )
     mass = data.get("mass")
-    if not isinstance(mass, int) or mass < 0:
+    if not isinstance(mass, int) or isinstance(mass, bool) or mass < 0:
         raise InputError("input.mass: expected a nonnegative integer")
-    from .typespace import type_count
-
     ensure_within_cap(type_count(alphabet.size, mass), "type enumeration")
     types = enumerate_types(alphabet, mass)
     return {
@@ -193,9 +193,6 @@ def _cmd_invert(args) -> dict:
 
 def _norm_primal_lp(law, N: int) -> LinearProgram:
     # The direct maximization: variables g[mu] free, |U g| <= 1 rowwise.
-    from .measures import urn_coefficient
-    from .typespace import subtypes
-
     mus = enumerate_types(law.alphabet.size, law.n)
     mu_index = {mu: i for i, mu in enumerate(mus)}
     rows = []

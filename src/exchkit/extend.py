@@ -47,9 +47,9 @@ from .measures import (
     _grid_program,
     _mixture_type_weights,
     _reproducing_lp,
+    _urn_column,
     invert_urn,
     marginalize,
-    urn_coefficient,
 )
 from .ratlp import LpOutcome, LpStatus, solve
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
@@ -183,7 +183,7 @@ def _min_total_variation(
     """Solve the norm program over the mass-``N`` urn columns; returns the
     mass-``N`` types (the column order) and the optimal outcome."""
     nus = enumerate_types(P.alphabet.size, N)
-    columns = [{mu: urn_coefficient(nu, mu) for mu in subtypes(nu, P.n)} for nu in nus]
+    columns = [_urn_column(nu.counts, P.n) for nu in nus]
     out = solve(_reproducing_lp(P, columns, signed=True))
     if out.status is not LpStatus.OPTIMAL:
         raise AssertionError("norm: total-variation program must be solvable")

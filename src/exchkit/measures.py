@@ -13,12 +13,20 @@ distribution.  Its weights are the coefficients::
     a(nu, mu) = prod_b C(nu{b}, mu{b}) / C(N, n)      (0 unless mu <= nu)
 
 which form a row-stochastic matrix from mass-``N`` types to mass-``n`` types.
+Row ``nu`` of that matrix is the *urn column* of ``nu``: the sparse list of
+``(mu, a(nu, mu))`` pairs over the subtypes ``mu`` of ``nu``, built once per
+``(nu, n)`` by ``_urn_column``.  Urn measures, marginals, the inversion,
+the norm program and ``apply_U`` all read the matrix through it; only the
+independent checks (``extend.marginal_matches`` and the CLI's brute-force
+norm program) compute the coefficients on their own.
+
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
 measures, by solving a lower-triangular system over the support of the
-target type.  The l1 norm of those coefficients depends only on the support
-profile of the target, which is what keeps the extending-functional norm
-finite.
+target type.  It peels the system one urn column at a time, from the last
+row back, and never forms the dense matrix.  The l1 norm of those
+coefficients depends only on the support profile of the target, which is
+what keeps the extending-functional norm finite.
 
 Both kinds of measure also serve as the columns of the linear programs that
 reproduce a law: urn measures for the extension questions, grid product
@@ -45,6 +53,7 @@ from .typespace import (
     Alphabet,
     RationalLike,
     TypeVector,
+    _compositions,
     _make_type,
     as_fraction,
     enumerate_types,
@@ -107,18 +116,6 @@ class ExchangeableLaw:
         return tuple(self.weights)
 
 
-@lru_cache(maxsize=None)
-def _urn_coeff(nu_counts: tuple[int, ...], mu_counts: tuple[int, ...]) -> Fraction:
-    total = 1
-    for vb, mb in zip(nu_counts, mu_counts):
-        if mb:
-            if mb > vb:
-                return Fraction(0)
-            total *= math.comb(vb, mb)
-    n, big_n = sum(mu_counts), sum(nu_counts)
-    return Fraction(total, math.comb(big_n, n))
-
-
 def urn_coefficient(nu: TypeVector, mu: TypeVector) -> Fraction:
     """Probability that ``n`` draws without replacement from urn ``nu``
     have type ``mu``; zero unless ``mu <= nu`` componentwise.
@@ -129,7 +126,31 @@ def urn_coefficient(nu: TypeVector, mu: TypeVector) -> Fraction:
         raise InputError(
             f"urn_coefficient: draw mass {mu.mass} exceeds urn mass {nu.mass}"
         )
-    return _urn_coeff(nu.counts, mu.counts)
+    # math.comb(v, m) is 0 for m > v, which gives the zero off nu's subtypes.
+    ways = math.prod(map(math.comb, nu.counts, mu.counts))
+    return Fraction(ways, math.comb(nu.mass, mu.mass))
+
+
+@lru_cache(maxsize=None)
+def _urn_column(nu_counts: tuple[int, ...], n: int) -> tuple[tuple[TypeVector, Fraction], ...]:
+    """The urn measure of ``nu`` at mass ``n`` as ``(mu, a(nu, mu))`` pairs,
+    lexicographically increasing over the subtypes ``mu`` of ``nu``."""
+    draws = math.comb(sum(nu_counts), n)
+    return tuple(
+        (mu, Fraction(math.prod(map(math.comb, nu_counts, mu.counts)), draws))
+        for mu in subtypes(_make_type(nu_counts), n)
+    )
+
+
+def _urn_mixture(
+    weights: Iterable[tuple[TypeVector, Fraction]], n: int
+) -> dict[TypeVector, Fraction]:
+    """Type weights of ``sum_nu weights[nu] * urn(nu, n)`` at mass ``n``."""
+    out: dict[TypeVector, Fraction] = {}
+    for nu, w in weights:
+        for mu, a in _urn_column(nu.counts, n):
+            out[mu] = out.get(mu, 0) + w * a
+    return out
 
 
 def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> ExchangeableLaw:
@@ -146,8 +167,7 @@ def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> Exc
         alphabet = Alphabet.of_size(nu.width)
     elif alphabet.size != nu.width:
         raise InputError("urn_measure: alphabet size does not match urn type")
-    weights = {mu: urn_coefficient(nu, mu) for mu in subtypes(nu, n)}
-    return ExchangeableLaw(alphabet, n, weights)
+    return ExchangeableLaw(alphabet, n, dict(_urn_column(nu.counts, n)))
 
 
 def product_law(
@@ -230,11 +250,7 @@ def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:
         raise InputError(f"marginalize: need 1 <= m <= n, got m={m}, n={law.n}")
     if m == law.n:
         return law
-    out: dict[TypeVector, Fraction] = {}
-    for mu, w in law.weights.items():
-        for tau in subtypes(mu, m):
-            out[tau] = out.get(tau, Fraction(0)) + w * urn_coefficient(mu, tau)
-    return ExchangeableLaw(law.alphabet, m, out)
+    return ExchangeableLaw(law.alphabet, m, _urn_mixture(law.weights.items(), m))
 
 
 @dataclass(frozen=True)
@@ -274,27 +290,17 @@ def _anchored_types(mu: TypeVector, N: int) -> tuple[list[TypeVector], list[Type
     resulting coefficients, and hence their l1 norm, depend only on the
     multiset of nonzero counts of ``mu``.
     """
-    n, k = mu.mass, mu.width
+    n = mu.mass
     sup = sorted(mu.support(), key=lambda i: (mu.counts[i], i))
-    last = sup[-1]
     lams: list[TypeVector] = []
     anchors: list[TypeVector] = []
-    # Enumerate compositions of n over the support slots, embedded in width k.
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == len(sup) - 1:
-            counts = [0] * k
-            for idx, c in zip(sup, acc):
-                counts[idx] = c
-            counts[sup[-1]] = remaining
-            base = list(counts)
-            lams.append(TypeVector(tuple(counts)))
-            base[last] += N - n
-            anchors.append(TypeVector(tuple(base)))
-            return
-        for c in range(remaining + 1):
-            rec(pos + 1, remaining - c, acc + [c])
-
-    rec(0, n, [])
+    counts = [0] * mu.width
+    for part in _compositions(n, len(sup)):
+        for idx, c in zip(sup, part):
+            counts[idx] = c
+        lams.append(_make_type(tuple(counts)))
+        counts[sup[-1]] += N - n
+        anchors.append(_make_type(tuple(counts)))
     return lams, anchors
 
 
@@ -302,9 +308,12 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     """Solve for coefficients ``c`` with ``u_mu = sum c[nu] * urn(nu, n)``.
 
     Works over the support of ``mu`` exactly as the triangularity argument
-    dictates: the anchored coefficient matrix is lower triangular with
-    positive diagonal in lexicographic order, so a single back substitution
-    yields the row of the inverse selected by ``mu``.
+    dictates: row ``j`` of the system is the urn column of anchor ``j``,
+    which holds only the lambdas of index ``<= j`` and lambda ``j`` itself
+    with a positive coefficient.  Peeling the rows from the last one back
+    solves it: a residual starts at the point mass on ``mu``, and each row
+    takes its coefficient from the residual at its lambda and subtracts
+    that multiple of its column.
     """
     n = mu.mass
     if N < n:
@@ -315,25 +324,27 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
         return InversionTable(mu, N, {anchor: Fraction(1)})
 
     lams, anchors = _anchored_types(mu, N)
-    size = len(lams)
-    # matrix[i][j] = a(anchor_i, lam_j); lower triangular, positive diagonal.
-    matrix = [[urn_coefficient(anchors[i], lams[j]) for j in range(size)] for i in range(size)]
-    for i in range(size):
-        if matrix[i][i] == 0:
-            raise AssertionError("invert_urn: zero diagonal in triangular system")
-        for j in range(i + 1, size):
-            if matrix[i][j] != 0:
+    index = {lam: j for j, lam in enumerate(lams)}
+    residual: dict[TypeVector, Fraction] = {mu: Fraction(1)}
+    coeffs = [0] * len(lams)
+    for j in range(len(lams) - 1, -1, -1):
+        column = _urn_column(anchors[j].counts, n)
+        diagonal = 0
+        for lam, a in column:
+            i = index.get(lam, j + 1)  # a type off the lambda list is above the diagonal
+            if i > j:
                 raise AssertionError("invert_urn: system is not lower triangular")
+            if i == j:
+                diagonal = a
+        if not diagonal:
+            raise AssertionError("invert_urn: zero diagonal in triangular system")
+        c = residual.get(lams[j], 0) / diagonal
+        if c:
+            coeffs[j] = c
+            for lam, a in column:
+                residual[lam] = residual.get(lam, 0) - c * a
 
-    target = lams.index(mu)
-    coeffs = [Fraction(0)] * size
-    # Row vector c with  c . matrix = e_target : back substitution over columns.
-    for j in range(size - 1, -1, -1):
-        rhs = Fraction(1 if j == target else 0)
-        rhs -= sum((coeffs[i] * matrix[i][j] for i in range(j + 1, size)), Fraction(0))
-        coeffs[j] = rhs / matrix[j][j]
-
-    table = {anchors[j]: coeffs[j] for j in range(size) if coeffs[j] != 0}
+    table = {anchor: c for anchor, c in zip(anchors, coeffs) if c}
     return InversionTable(mu, N, table)
 
 
@@ -345,12 +356,9 @@ def reconstruct_check(table: InversionTable) -> bool:
     """
     mu = table.mu
     n, k = mu.mass, mu.width
-    acc: dict[TypeVector, Fraction] = {}
-    for nu, c in table.coeffs.items():
-        if nu.width != k or nu.mass != table.N:
-            return False
-        for kappa in subtypes(nu, n):
-            acc[kappa] = acc.get(kappa, Fraction(0)) + c * urn_coefficient(nu, kappa)
+    if any(nu.width != k or nu.mass != table.N for nu in table.coeffs):
+        return False
+    acc = _urn_mixture(table.coeffs.items(), n)
     for kappa in enumerate_types(k, n):
         expected = Fraction(1) if kappa == mu else Fraction(0)
         if acc.get(kappa, Fraction(0)) != expected:
@@ -371,10 +379,13 @@ def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
 
 
 def _reproducing_lp(
-    P: ExchangeableLaw, columns: Sequence[WeightMap], signed: bool
+    P: ExchangeableLaw,
+    columns: Sequence[Iterable[tuple[TypeVector, Fraction]]],
+    signed: bool,
 ) -> LinearProgram:
     """The program "combine the columns into ``P``": one row per mass-``n``
-    type, one sparse column of type weights per candidate measure.
+    type, one sparse column of ``(type, weight)`` pairs per candidate
+    measure.
 
     Unsigned, the variables are nonnegative column weights and the objective
     is 0: a feasibility program for a nonnegative mixture.  Signed, they are
@@ -389,7 +400,7 @@ def _reproducing_lp(
     nvars = 2 * width if signed else width
     rows = [[Fraction(0)] * nvars for _ in mus]
     for v, column in enumerate(columns):
-        for mu, coef in column.items():
+        for mu, coef in column:
             rows[index[mu]][v] = coef
             if signed:
                 rows[index[mu]][width + v] = -coef
@@ -404,7 +415,7 @@ def _grid_program(
     from their product laws (see :func:`_reproducing_lp`)."""
     ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
     thetas = simplex_grid(P.alphabet.size, depth)
-    columns = [_product_type_weights(theta, P.n) for theta in thetas]
+    columns = [_product_type_weights(theta, P.n).items() for theta in thetas]
     return thetas, _reproducing_lp(P, columns, signed)
 
 

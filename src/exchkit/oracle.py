@@ -23,57 +23,19 @@ from .typespace import Alphabet, TypeVector, type_of
 # -- exact dense linear algebra -------------------------------------------------
 
 
-def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve ``A x = b`` for square A; None when singular or inconsistent."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the first ``ncols`` columns, by exact
+    Gauss-Jordan elimination; later columns are carried along.
 
-
-def matrix_rank(matrix: list[list[Fraction]]) -> int:
-    """Rank by exact Gaussian elimination."""
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    rank = 0
+    Returns the reduced rows, pivot rows first and in pivot order, and the
+    pivot columns.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
+        rank = len(pivots)
         if rank == len(rows):
             break
-    return rank
-
-
-def null_space_generator(matrix: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
-    """A nonzero generator of the null space when it is one-dimensional."""
-    rows = [list(r) for r in matrix if any(v != 0 for v in r)]
-    if matrix and len(matrix[0]) != dim:
-        raise InputError("null_space_generator: inconsistent dimension")
-    # Reduced row echelon form.
-    pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -85,14 +47,37 @@ def null_space_generator(matrix: list[list[Fraction]], dim: int) -> Optional[lis
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    if dim - rank != 1:
+    return rows, pivots
+
+
+def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
+    """Solve ``A x = b`` for square A; None when singular or inconsistent."""
+    n = len(matrix)
+    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return [row[-1] for row in rows]
+
+
+def matrix_rank(matrix: list[list[Fraction]]) -> int:
+    """Rank by exact Gaussian elimination."""
+    if not matrix:
+        return 0
+    return len(_rref(matrix, len(matrix[0]))[1])
+
+
+def null_space_generator(matrix: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
+    """A nonzero generator of the null space when it is one-dimensional."""
+    if matrix and len(matrix[0]) != dim:
+        raise InputError("null_space_generator: inconsistent dimension")
+    rows, pivots = _rref(matrix, dim)
+    if dim - len(pivots) != 1:
         return None
     free_col = next(c for c in range(dim) if c not in pivots)
     vec = [Fraction(0)] * dim
     vec[free_col] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -rows[r][free_col]
+    for row, pc in zip(rows, pivots):
+        vec[pc] = -row[free_col]
     return vec
 
 

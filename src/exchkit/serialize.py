@@ -39,7 +39,7 @@ def _require(data: Mapping[str, Any], field: str, context: str) -> Any:
 
 
 def _parse_fraction_field(value: Any, context: str) -> Fraction:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -83,7 +83,7 @@ def law_to_dict(law: ExchangeableLaw) -> dict:
 def law_from_dict(data: Mapping[str, Any], context: str = "law") -> ExchangeableLaw:
     alphabet = alphabet_from_json(_require(data, "alphabet", context), f"{context}.alphabet")
     n = _require(data, "n", context)
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"{context}.n: expected an integer")
     raw = _require(data, "weights", context)
     if not isinstance(raw, Mapping):
@@ -114,7 +114,7 @@ def function_to_dict(g: SymmetricFunction) -> dict:
 def function_from_dict(data: Mapping[str, Any], context: str = "function") -> SymmetricFunction:
     alphabet = alphabet_from_json(_require(data, "alphabet", context), f"{context}.alphabet")
     m = _require(data, "m", context)
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"{context}.m: expected an integer")
     raw = _require(data, "values", context)
     if not isinstance(raw, Mapping):
@@ -147,13 +147,7 @@ def inversion_table_to_dict(table: InversionTable) -> dict:
 
 def mixture_to_dict(mix: SignedMixture) -> dict:
     return {
-        "atoms": [
-            {
-                "weight": format_fraction(w),
-                "theta": [format_fraction(t) for t in theta],
-            }
-            for w, theta in mix.atoms
-        ],
+        "atoms": _atoms_to_json(mix.atoms),
         "total_variation": format_fraction(mix.total_variation),
         "total_mass": format_fraction(mix.total_mass),
     }
@@ -269,8 +263,11 @@ def lp_from_dict(data: Mapping[str, Any], context: str = "lp") -> LinearProgram:
         for i, c in enumerate(objective_raw)
     )
     n = len(objective)
+    constraints_raw = _require(data, "constraints", context)
+    if not isinstance(constraints_raw, list):
+        raise InputError(f"{context}.constraints: expected a list")
     rows = []
-    for i, entry in enumerate(_require(data, "constraints", context)):
+    for i, entry in enumerate(constraints_raw):
         coeffs_raw = _require(entry, "coeffs", f"{context}.constraints[{i}]")
         if not isinstance(coeffs_raw, list):
             raise InputError(f"{context}.constraints[{i}].coeffs: expected a list")

@@ -23,8 +23,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InputError
-from .measures import ExchangeableLaw, urn_coefficient
-from .typespace import Alphabet, TypeVector, as_fraction, enumerate_types, subtypes
+from .measures import ExchangeableLaw, _urn_column
+from .typespace import Alphabet, TypeVector, as_fraction, enumerate_types
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,6 @@ class SymmetricFunction:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
 
-    def shift_scale(self, shift: Fraction, scale: Fraction) -> "SymmetricFunction":
-        """Pointwise ``(g + shift) * scale``."""
-        return SymmetricFunction(
-            self.alphabet,
-            self.m,
-            {tv: (v + shift) * scale for tv, v in self.values.items()},
-        )
-
 
 def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     """Average ``g`` over ``g.m`` draws without replacement from each
@@ -104,10 +96,10 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     out: dict[TypeVector, Fraction] = {}
     for nu in enumerate_types(k, N):
         acc = Fraction(0)
-        for mu in subtypes(nu, n):
+        for mu, a in _urn_column(nu.counts, n):
             gv = g.values[mu]
             if gv:
-                acc += urn_coefficient(nu, mu) * gv
+                acc += a * gv
         out[nu] = acc
     return SymmetricFunction(g.alphabet, N, out)
 

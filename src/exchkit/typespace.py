@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import sub
+from operator import le, sub
 from typing import Iterator, Sequence, Union
 
 from .errors import InputError
@@ -239,45 +239,26 @@ def subtypes(nu: TypeVector, mass: int) -> Iterator[TypeVector]:
     """All types ``mu <= nu`` (componentwise) with the given mass.
 
     Lexicographically increasing.  This is the support of the law of
-    ``mass`` draws without replacement from the urn ``nu``.
+    ``mass`` draws without replacement from the urn ``nu``.  Zero-count
+    slots of ``nu`` stay zero, so the compositions of ``mass`` over the
+    support of ``nu`` are walked and those that fit under its counts are
+    kept.  Mass 0 yields the zero type; a mass above ``nu``'s yields
+    nothing.
     """
     if mass < 0:
         raise InputError("subtypes: mass must be >= 0")
     if mass > nu.mass:
         return
-
     counts = nu.counts
-    k = len(counts)
-    # Zero-count slots are forced to zero, so recurse over the support only.
-    sup = [i for i, c in enumerate(counts) if c]
+    # The zero urn has no support; one slot of count 0 gives its zero type.
+    sup = [i for i, c in enumerate(counts) if c] or [0]
     caps = [counts[i] for i in sup]
-    parts = len(sup)
-    suffix = [0] * (parts + 1)
-    for i in range(parts - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    template = [0] * k
-    chosen = [0] * parts
-
-    def rec(pos: int, remaining: int) -> Iterator[TypeVector]:
-        if pos == parts:
-            for i, c in zip(sup, chosen):
-                template[i] = c
-            yield _make_type(tuple(template))
-            for i in sup:
-                template[i] = 0
-            return
-        lo = max(0, remaining - suffix[pos + 1])
-        hi = min(caps[pos], remaining)
-        for c in range(lo, hi + 1):
-            chosen[pos] = c
-            yield from rec(pos + 1, remaining - c)
-
-    yield from rec(0, mass)
-
-
-def total_sequences(k: int, mass: int) -> int:
-    """``k ** mass``; the sum of multiset_count over all types of the mass."""
-    return k**mass
+    out = [0] * len(counts)
+    for part in _compositions(mass, len(sup)):
+        if all(map(le, part, caps)):
+            for i, c in zip(sup, part):
+                out[i] = c
+            yield _make_type(tuple(out))
 
 
 __all__ = [
@@ -290,7 +271,6 @@ __all__ = [
     "multiset_count",
     "parse_fraction",
     "subtypes",
-    "total_sequences",
     "type_count",
     "type_of",
 ]

@@ -160,6 +160,26 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 1
 
+    # JSON booleans are not numbers
+    for law in (
+        '{"alphabet": ["a", "b"], "n": true, "weights": {"1:0": "1"}}',
+        '{"alphabet": ["a", "b"], "n": 1, "weights": {"1:0": true}}',
+    ):
+        code, out, err = run_cli(capsys, "extend", law, "--N", "2")
+        assert code == 1 and out == "" and err.startswith("error: input")
+    code, out, err = run_cli(capsys, "types", '{"alphabet": ["a", "b"], "mass": true}')
+    assert code == 1 and "input.mass" in err
+    lp = '{"sense": "max", "objective": [%s], "constraints": %s}'
+    row = '[{"coeffs": [%s], "rel": "<=", "rhs": "1"}]'
+    for text in (lp % ("true", row % '"1"'), lp % ('"1"', row % "false")):
+        code, out, err = run_cli(capsys, "lp-verify", text)
+        assert code == 1 and out == "" and "expected a fraction string, got bool" in err
+
+    # a constraints field that is not a list is one error line, not a traceback
+    code, out, err = run_cli(capsys, "lp-verify", lp % ('"1"', "5"))
+    assert code == 1 and out == ""
+    assert err == "error: input.constraints: expected a list\n"
+
 
 def test_exit_code_2_on_capacity(capsys, monkeypatch):
     monkeypatch.setenv("EXCHKIT_CAP", "5")

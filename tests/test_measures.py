@@ -8,6 +8,7 @@ from exchkit.errors import InputError
 from exchkit.measures import (
     ExchangeableLaw,
     InversionTable,
+    _urn_column,
     invert_urn,
     marginalize,
     product_law,
@@ -89,6 +90,43 @@ def test_projection_consistency():
     # and iterated marginals compose
     law = urn_measure(T((3, 2, 1)), 5)
     assert marginalize(marginalize(law, 3), 2) == marginalize(law, 2)
+
+
+def _sample_counts(k, N):
+    # Every urn for k <= 3; for wider alphabets the ones with a zero count
+    # plus a few without, to keep the sweep small.
+    types = [tv.counts for tv in enumerate_types(k, N)]
+    if k <= 3:
+        return types
+    return [c for c in types if 0 in c][::3] + [c for c in types if 0 not in c][:4]
+
+
+def test_urn_column_matches_urn_coefficient():
+    urns = [T(c) for k in range(1, 6) for N in range(0, 6) for c in _sample_counts(k, N)]
+    for nu in urns:
+        k, N = nu.width, nu.mass
+        for n in range(0, N + 1):
+            column = _urn_column(nu.counts, n)
+            expected = [
+                (mu, urn_coefficient(nu, mu)) for mu in enumerate_types(k, n) if mu.le(nu)
+            ]
+            assert list(column) == expected
+            assert sum(a for _, a in column) == 1
+
+
+def test_invert_urn_against_draw_oracle():
+    # Shares no code with invert_urn: the urn laws come from enumerating
+    # every ordered draw.
+    for k in range(1, 4):
+        for n in range(1, 4):
+            for mu in enumerate_types(k, n):
+                for N in range(n, n + 3):
+                    table = invert_urn(mu, N)
+                    acc: dict[TypeVector, Fraction] = {}
+                    for nu, c in table.coeffs.items():
+                        for tau, w in urn_law_by_enumeration(nu, n).weights.items():
+                            acc[tau] = acc.get(tau, Fraction(0)) + c * w
+                    assert {tau: v for tau, v in acc.items() if v} == {mu: 1}
 
 
 def test_invert_single_support():

@@ -47,6 +47,8 @@ def test_law_sparse_zero_weights_accepted():
         ({"weights": {"1:1": "0.5"}}, "weights"),
         ({"weights": {"1:1": "2/3"}}, "sum"),
         ({"weights": {"1:1": "-1", "2:0": "2"}}, "negative"),
+        ({"weights": {"1:1": True}}, "weights"),
+        ({"n": True, "weights": {"1:0": "1"}}, "n"),
     ],
 )
 def test_law_schema_errors_name_the_field(mutation, field):

@@ -108,11 +108,28 @@ def test_typestring_width_check():
 
 
 def test_subtypes_match_filtered_enumeration():
-    nu = TypeVector((2, 1, 3))
-    for m in range(0, 7):
-        expected = [t for t in enumerate_types(3, m) if t.le(nu)]
-        assert list(subtypes(nu, m)) == expected
-    assert list(subtypes(nu, 7)) == []
+    urns = [
+        (2, 1, 3),
+        (0, 2, 1),  # zero count first
+        (2, 1, 0),  # zero count last
+        (1, 0, 2),  # zero count in the middle
+        (0, 3, 0, 0, 1),  # k = 5, zeros at both ends and inside
+        (1, 2, 1, 0, 2),  # k = 5
+        (4,),  # one symbol
+        (0,),  # the zero urn on one symbol
+        (0, 0, 0),  # the zero urn
+    ]
+    for counts in urns:
+        nu = TypeVector(counts)
+        k = len(counts)
+        for m in range(0, nu.mass + 1):
+            expected = [t for t in enumerate_types(k, m) if t.le(nu)]
+            assert list(subtypes(nu, m)) == expected
+        assert list(subtypes(nu, 0)) == [TypeVector((0,) * k)]
+        assert list(subtypes(nu, nu.mass + 1)) == []
+        assert list(subtypes(nu, nu.mass + 3)) == []
+        with pytest.raises(InputError):
+            list(subtypes(nu, -1))
 
 
 def test_alphabet_validation():
