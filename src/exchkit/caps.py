@@ -1,10 +1,10 @@
 """Resource cap for enumeration sizes and LP dimensions.
 
 Everything in this library is exact and in-core, so the only guard needed is
-a hard ceiling on how many objects (types, grid atoms, LP variables or rows)
-a single call may enumerate, and on how many simplex pivots one LP solve may
-take.  The default suits desk scale; the environment variable
-``EXCHKIT_CAP`` overrides it per process.
+a hard ceiling on how many objects (types, grid atoms, ordered urn draws,
+cell pairs, LP variables or rows) a single call may enumerate, and on how
+many simplex pivots one LP solve may take.  The default suits desk scale;
+the environment variable ``EXCHKIT_CAP`` overrides it per process.
 """
 
 from __future__ import annotations

@@ -298,14 +298,10 @@ def _corpus_pairs(max_N: int | None, grid_depth: int) -> dict:
     }
 
 
-def _default_profile(level: int) -> list[Fraction]:
-    cells = level * 2**level
-    return [Fraction(cells + 1 - r, cells + 1) for r in range(1, cells + 1)]
-
-
 def _corpus_dyadic(level: int, profile_text: str | None, check_N: str) -> dict:
+    cells = corpus_mod._dyadic_cells(level)
     if profile_text is None:
-        profile = _default_profile(level)
+        profile = [Fraction(cells + 1 - r, cells + 1) for r in range(1, cells + 1)]
     else:
         try:
             profile = [parse_fraction(part.strip()) for part in profile_text.split(",")]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .caps import ensure_within_cap
 from .errors import InputError
 from .extend import staircase_mixture
 from .measures import ExchangeableLaw
@@ -71,6 +72,15 @@ def _cell_alphabet(count: int) -> Alphabet:
     return Alphabet(tuple(f"I{i + 1}" for i in range(count)))
 
 
+def _dyadic_cells(level: int) -> int:
+    """Number of cells at ``level``, once the unordered cell pairs fit the cap."""
+    if level < 1:
+        raise InputError("dyadic_max_law: level must be >= 1")
+    cells = level * 2**level
+    ensure_within_cap(cells * (cells + 1) // 2, "dyadic cell pairs")
+    return cells
+
+
 def dyadic_max_law(
     level: int, profile: Sequence[RationalLike]
 ) -> tuple[ExchangeableLaw, SignedMixture]:
@@ -88,9 +98,7 @@ def dyadic_max_law(
     over the first ``r`` cells.  The mixture reconstructs the law exactly
     and certifies infinite extendibility.
     """
-    if level < 1:
-        raise InputError("dyadic_max_law: level must be >= 1")
-    cells = level * 2**level
+    cells = _dyadic_cells(level)
     values = [as_fraction(v) for v in profile]
     if len(values) != cells:
         raise InputError(

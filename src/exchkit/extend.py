@@ -17,10 +17,9 @@ The questions answered here, all exactly:
 
 One linear program answers the whole question: the minimum total variation
 of a signed combination of mass-``N`` urn measures reproducing ``P`` (rows:
-the marginal identities; variables: positive and negative parts of the urn
-weights).  Its optimum is the norm.  At norm 1 the positive part is the
-witness, since urn columns sum to 1 and so leave no room for a negative
-part.  Above 1 the negated row duals are the optimal refutation: a
+the marginal identities; one signed weight per urn).  Its optimum is the
+norm.  At norm 1 the weights are the witness, since urn columns sum to 1
+and so leave no room for a negative weight.  Above 1 the negated row duals are the optimal refutation: a
 symmetric ``g`` with ``sup |U g| = 1`` and ``E_P g`` equal to the norm.
 
 Two exact constructive fast paths run before the LP: the triangular
@@ -43,15 +42,16 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import (
+    Atom,
     ExchangeableLaw,
-    _grid_program,
+    _grid_columns,
+    _min_total_variation,
     _mixture_type_weights,
-    _reproducing_lp,
     _urn_column,
     invert_urn,
     marginalize,
 )
-from .ratlp import LpOutcome, LpStatus, solve
+from .ratlp import LpOutcome
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import (
     Alphabet,
@@ -63,9 +63,6 @@ from .typespace import (
     subtypes,
     type_count,
 )
-
-Atom = tuple[Fraction, tuple[Fraction, ...]]
-
 
 class Verdict(enum.Enum):
     EXTENDIBLE = "extendible"
@@ -177,19 +174,18 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
 # -- the norm --------------------------------------------------------------------
 
 
-def _min_total_variation(
+def _norm_program(
     P: ExchangeableLaw, N: int
-) -> tuple[list[TypeVector], LpOutcome]:
+) -> tuple[list[TypeVector], list[Fraction], LpOutcome]:
     """Solve the norm program over the mass-``N`` urn columns; returns the
-    mass-``N`` types (the column order) and the optimal outcome."""
+    mass-``N`` types, their optimal weights and the optimal outcome."""
     nus = enumerate_types(P.alphabet.size, N)
-    columns = [_urn_column(nu.counts, P.n) for nu in nus]
-    out = solve(_reproducing_lp(P, columns, signed=True))
-    if out.status is not LpStatus.OPTIMAL:
+    weights, out = _min_total_variation(P, [_urn_column(nu.counts, P.n) for nu in nus])
+    if weights is None:
         raise AssertionError("norm: total-variation program must be solvable")
     if out.objective_value < 1:
         raise AssertionError("norm: computed value below 1")
-    return nus, out
+    return nus, weights, out
 
 
 def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
@@ -202,7 +198,7 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
     Always >= 1, with equality iff ``P`` is N-extendible.
     """
     _check_target(P, N)
-    return _min_total_variation(P, N)[1].objective_value
+    return _norm_program(P, N)[2].objective_value
 
 
 # -- constructive fast paths -------------------------------------------------------
@@ -315,15 +311,14 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
         if atoms is not None:
             witness = mixture_extension(atoms, N, P.alphabet)
     if witness is None:
-        nus, out = _min_total_variation(P, N)
+        nus, weights, out = _norm_program(P, N)
         norm = out.objective_value
         if norm > 1:
             g = _dual_refutation(P, N, out)
             return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
-        if any(out.primal[len(nus):]):
-            raise AssertionError("extend: norm-1 optimum has a negative part")
-        weights = {nu: p for nu, p in zip(nus, out.primal) if p}
-        witness = ExchangeableLaw(P.alphabet, N, weights)
+        if any(w < 0 for w in weights):
+            raise AssertionError("extend: norm-1 optimum has a negative weight")
+        witness = ExchangeableLaw(P.alphabet, N, {nu: w for nu, w in zip(nus, weights) if w})
     if not marginal_matches(witness, P):
         raise AssertionError("extend: witness failed the marginal identity")
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
@@ -346,12 +341,16 @@ def corollary_criterion(
 
 
 def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
-    """Nonnegative mixture of grid product laws reproducing P, if any."""
-    thetas, lp = _grid_program(P, depth, signed=False)
-    out = solve(lp)
-    if out.status is not LpStatus.OPTIMAL:
+    """Nonnegative mixture of grid product laws reproducing P, if any: the
+    least-total-variation grid combination when its value is 1 (the
+    weights sum to 1, so a total variation of 1 leaves none negative)."""
+    thetas, columns = _grid_columns(P, depth)
+    weights, out = _min_total_variation(P, columns)
+    if weights is None or out.objective_value != 1:
         return None
-    return tuple((lam, theta) for lam, theta in zip(out.primal, thetas) if lam)
+    if any(w < 0 for w in weights):
+        raise AssertionError("probe: total-variation-1 grid mixture has a negative weight")
+    return tuple((w, theta) for w, theta in zip(weights, thetas) if w)
 
 
 def probe_infinite(

@@ -28,10 +28,11 @@ row back, and never forms the dense matrix.  The l1 norm of those
 coefficients depends only on the support profile of the target, which is
 what keeps the extending-functional norm finite.
 
-Both kinds of measure also serve as the columns of the linear programs that
-reproduce a law: urn measures for the extension questions, grid product
-laws for the mixture searches.  ``_reproducing_lp`` builds every one of
-those programs.
+Both kinds of measure also serve as columns of the one program that
+reproduces a law, the least total variation of a signed combination:
+urn columns for the extension questions, grid product laws
+(``_grid_columns``) for the mixture searches.  ``_min_total_variation``
+builds and solves it; no other code knows its layout.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -44,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .caps import ensure_within_cap
 from .errors import InputError
-from .ratlp import LinearProgram
+from .ratlp import LinearProgram, LpOutcome, LpStatus, solve
 from .typespace import (
     Alphabet,
     RationalLike,
@@ -167,6 +168,7 @@ def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> Exc
         alphabet = Alphabet.of_size(nu.width)
     elif alphabet.size != nu.width:
         raise InputError("urn_measure: alphabet size does not match urn type")
+    ensure_within_cap(type_count(len(nu.support()), n), "urn draw types")
     return ExchangeableLaw(alphabet, n, dict(_urn_column(nu.counts, n)))
 
 
@@ -189,12 +191,11 @@ def product_law(
         alphabet = Alphabet.of_size(k)
     elif alphabet.size != k:
         raise InputError("product_law: alphabet size does not match theta")
-    return ExchangeableLaw(alphabet, n, _product_type_weights(probs, n))
+    return ExchangeableLaw(alphabet, n, _mixture_type_weights(((1, probs),), n))
 
 
-def _product_type_weights(theta: Sequence[Fraction], n: int) -> dict[TypeVector, Fraction]:
-    """Multinomial type weights of one product law (see :func:`_mixture_type_weights`)."""
-    return _mixture_type_weights(((1, theta),), n)
+# A product-mixture atom: its weight and its product parameter theta.
+Atom = tuple[Fraction, tuple[Fraction, ...]]
 
 
 def _mixture_type_weights(
@@ -358,6 +359,7 @@ def reconstruct_check(table: InversionTable) -> bool:
     n, k = mu.mass, mu.width
     if any(nu.width != k or nu.mass != table.N for nu in table.coeffs):
         return False
+    ensure_within_cap(type_count(k, n), "mass-n type space")
     acc = _urn_mixture(table.coeffs.items(), n)
     for kappa in enumerate_types(k, n):
         expected = Fraction(1) if kappa == mu else Fraction(0)
@@ -378,45 +380,38 @@ def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
     ]
 
 
-def _reproducing_lp(
-    P: ExchangeableLaw,
-    columns: Sequence[Iterable[tuple[TypeVector, Fraction]]],
-    signed: bool,
-) -> LinearProgram:
-    """The program "combine the columns into ``P``": one row per mass-``n``
-    type, one sparse column of ``(type, weight)`` pairs per candidate
-    measure.
+def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, ...]], list]:
+    """The depth-``depth`` grid parameters and the ``(type, weight)`` pairs
+    of their product laws at mass ``P.n``."""
+    ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
+    thetas = simplex_grid(P.alphabet.size, depth)
+    return thetas, [_mixture_type_weights(((1, t),), P.n).items() for t in thetas]
 
-    Unsigned, the variables are nonnegative column weights and the objective
-    is 0: a feasibility program for a nonnegative mixture.  Signed, they are
-    the positive parts then the negative parts of the weights, and the
-    objective is their sum: the least total variation of a signed
-    combination.  The row duals of the signed program are a function on the
-    mass-``n`` types bounded by 1 in absolute value on every column.
-    """
+
+def _min_total_variation(
+    P: ExchangeableLaw, columns: Sequence[Iterable[tuple[TypeVector, Fraction]]]
+) -> tuple[Optional[list[Fraction]], LpOutcome]:
+    """Least total variation of a signed combination of the sparse
+    ``(type, weight)`` columns reproducing ``P``: the signed weight of each
+    column (None unless OPTIMAL) and the outcome.  Its certificate has one
+    entry per mass-``n`` type in ``enumerate_types`` order: at the optimum
+    the row duals, whose negation ``y`` has ``|y . column| <= 1`` for every
+    column and ``y . P`` equal to the value; otherwise a Farkas vector,
+    orthogonal to every column but not to ``P``."""
     mus = enumerate_types(P.alphabet.size, P.n)
     index = {mu: r for r, mu in enumerate(mus)}
     width = len(columns)
-    nvars = 2 * width if signed else width
-    rows = [[Fraction(0)] * nvars for _ in mus]
+    # Variables: the positive parts of the weights, then the negative parts.
+    rows = [[Fraction(0)] * (2 * width) for _ in mus]
     for v, column in enumerate(columns):
         for mu, coef in column:
             rows[index[mu]][v] = coef
-            if signed:
-                rows[index[mu]][width + v] = -coef
+            rows[index[mu]][width + v] = -coef
     constraints = [(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)]
-    return LinearProgram.build("min", [1 if signed else 0] * nvars, constraints)
-
-
-def _grid_program(
-    P: ExchangeableLaw, depth: int, signed: bool
-) -> tuple[list[tuple[Fraction, ...]], LinearProgram]:
-    """The depth-``depth`` grid parameters and the program reproducing ``P``
-    from their product laws (see :func:`_reproducing_lp`)."""
-    ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
-    thetas = simplex_grid(P.alphabet.size, depth)
-    columns = [_product_type_weights(theta, P.n).items() for theta in thetas]
-    return thetas, _reproducing_lp(P, columns, signed)
+    out = solve(LinearProgram.build("min", [1] * (2 * width), constraints))
+    if out.status is not LpStatus.OPTIMAL:
+        return None, out
+    return [p - q if q else p for p, q in zip(out.primal, out.primal[width:])], out
 
 
 __all__ = [

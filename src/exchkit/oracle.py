@@ -12,9 +12,11 @@ Exact throughout; intended for small instances only.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import ExchangeableLaw
 from .ratlp import LinearProgram, LpStatus, _extended_rows, _max_objective
@@ -23,18 +25,22 @@ from .typespace import Alphabet, TypeVector, type_of
 # -- exact dense linear algebra -------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(
+    rows: list[list[Fraction]], ncols: int, need: int
+) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the first ``ncols`` columns, by exact
     Gauss-Jordan elimination; later columns are carried along.
 
     Returns the reduced rows, pivot rows first and in pivot order, and the
-    pivot columns.
+    pivot columns.  The elimination stops early, with fewer than ``need``
+    pivots, once the columns left can no longer bring the rank up to
+    ``need``; callers that need no rank pass 0.
     """
     rows = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        if rank == len(rows):
+        if rank == len(rows) or rank + ncols - col < need:
             break
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -53,7 +59,7 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
     """Solve ``A x = b`` for square A; None when singular or inconsistent."""
     n = len(matrix)
-    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], n, n)
     if len(pivots) < n:
         return None
     return [row[-1] for row in rows]
@@ -63,14 +69,14 @@ def matrix_rank(matrix: list[list[Fraction]]) -> int:
     """Rank by exact Gaussian elimination."""
     if not matrix:
         return 0
-    return len(_rref(matrix, len(matrix[0]))[1])
+    return len(_rref(matrix, len(matrix[0]), 0)[1])
 
 
 def null_space_generator(matrix: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
     """A nonzero generator of the null space when it is one-dimensional."""
     if matrix and len(matrix[0]) != dim:
         raise InputError("null_space_generator: inconsistent dimension")
-    rows, pivots = _rref(matrix, dim)
+    rows, pivots = _rref(matrix, dim, dim - 1)
     if dim - len(pivots) != 1:
         return None
     free_col = next(c for c in range(dim) if c not in pivots)
@@ -94,6 +100,7 @@ def urn_law_by_enumeration(
     """
     if n < 1 or n > nu.mass:
         raise InputError(f"urn oracle: need 1 <= n <= {nu.mass}, got {n}")
+    ensure_within_cap(math.perm(nu.mass, n), "ordered urn draws")
     if alphabet is None:
         alphabet = Alphabet.of_size(nu.width)
     balls: list[int] = []

@@ -5,7 +5,8 @@ product laws.  This module searches for such a combination with the product
 parameters restricted to the rational grid of a given depth, minimizing
 total variation (the l1 norm of the weights), and reports exactly what it
 found: the atoms, their total variation, and - through :func:`reconstruct` -
-the exact law they reproduce.
+the exact law they reproduce.  It solves the same grid program as the
+infinite-extendibility probe, ``measures._min_total_variation``.
 
 A total variation of 1 means the mixture is an honest probability mixture;
 anything above 1 quantifies how far the law is from being one *on that
@@ -21,17 +22,14 @@ from typing import Optional
 
 from .errors import InputError, RepresentationError
 from .measures import (
+    Atom,
     ExchangeableLaw,
-    _grid_program,
+    _grid_columns,
+    _min_total_variation,
     _mixture_type_weights,
-    _product_type_weights,
-    simplex_grid,
 )
-from .ratlp import LpStatus, solve
 from .symmetrize import SymmetricFunction, expectation
 from .typespace import TypeVector, as_fraction
-
-Atom = tuple[Fraction, tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,10 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     depth = grid_depth
     last_farkas = None
     for _ in range(5):
-        thetas, lp = _grid_program(P, depth, signed=True)
-        out = solve(lp)
-        if out.status is LpStatus.OPTIMAL:
-            natoms = len(thetas)
-            return SignedMixture(tuple(
-                (out.primal[v] - out.primal[natoms + v], theta)
-                for v, theta in enumerate(thetas)
-            ))
+        thetas, columns = _grid_columns(P, depth)
+        weights, out = _min_total_variation(P, columns)
+        if weights is not None:
+            return SignedMixture(tuple(zip(weights, thetas)))
         last_farkas = out.certificate
         depth *= 2
     raise RepresentationError(
@@ -157,12 +151,8 @@ def tv_lower_bound(
         raise InputError("tv_lower_bound: grid_depth must be >= 1")
     numerator = abs(expectation(P, g))
     denominator = Fraction(0)
-    for theta in simplex_grid(P.alphabet.size, grid_depth):
-        value = Fraction(0)
-        for tv, w in _product_type_weights(theta, P.n).items():
-            gv = g.values[tv]
-            if w and gv:
-                value += w * gv
+    for column in _grid_columns(P, grid_depth)[1]:
+        value = sum((w * g.values[tv] for tv, w in column), Fraction(0))
         denominator = max(denominator, abs(value))
     if denominator == 0:
         if numerator == 0:

@@ -22,9 +22,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
+from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import ExchangeableLaw, _urn_column
-from .typespace import Alphabet, TypeVector, as_fraction, enumerate_types
+from .typespace import Alphabet, TypeVector, as_fraction, enumerate_types, type_count
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,7 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     if N < n:
         raise InputError(f"apply_U: need N >= m, got N={N} < m={n}")
     k = g.alphabet.size
+    ensure_within_cap(type_count(k, N), "mass-N type space")
     out: dict[TypeVector, Fraction] = {}
     for nu in enumerate_types(k, N):
         acc = Fraction(0)

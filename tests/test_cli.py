@@ -187,6 +187,14 @@ def test_exit_code_2_on_capacity(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_exit_code_2_on_uncapped_enumerations(capsys, monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    code, _, err = run_cli(capsys, "urn", '{"alphabet": ["a","b","c"], "type": "3:3:3"}', "--N", "3")
+    assert code == 2 and "cap" in err
+    code, _, err = run_cli(capsys, "corpus", "dyadic-max", "--level", "2", "--check-N", "")
+    assert code == 2 and "cap" in err
+
+
 def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     from exchkit import cli
 

@@ -10,7 +10,7 @@ from exchkit.corpus import (
     dyadic_max_law,
     urn_without_replacement,
 )
-from exchkit.errors import InputError
+from exchkit.errors import CapacityError, InputError
 from exchkit.extend import (
     InfiniteOutcome,
     Verdict,
@@ -123,6 +123,13 @@ def test_dyadic_validation():
         dyadic_max_law(1, [0, 0])  # identically zero
     with pytest.raises(InputError):
         dyadic_max_law(1, [1, Fraction(-1, 2)])  # negative tail
+
+
+def test_dyadic_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    dyadic_max_law(1, [1, Fraction(1, 2)])  # 3 cell pairs
+    with pytest.raises(CapacityError):
+        dyadic_max_law(2, [1] * 8)  # 36 cell pairs
 
 
 def test_convergence_self_comparison():

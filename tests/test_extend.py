@@ -90,6 +90,7 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
     # switch the fast paths off so the norm program decides laws they cover,
     # and count its solves: one per decision, whichever the verdict
     import exchkit.extend as extend
+    import exchkit.measures as measures
 
     solves = []
 
@@ -99,7 +100,7 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
 
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
     monkeypatch.setattr(extend, "staircase_mixture", lambda P: None)
-    monkeypatch.setattr(extend, "solve", counted)
+    monkeypatch.setattr(measures, "solve", counted)
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
     report = check_extendible(P, 4)
     assert report.refutation is None and marginal_matches(report.witness, P)

@@ -1,13 +1,16 @@
 """Urn measures, their triangular inversion, and product laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from exchkit.errors import InputError
+from exchkit.errors import CapacityError, InputError
 from exchkit.measures import (
     ExchangeableLaw,
     InversionTable,
+    _grid_columns,
+    _min_total_variation,
     _urn_column,
     invert_urn,
     marginalize,
@@ -19,6 +22,8 @@ from exchkit.measures import (
 )
 from exchkit.oracle import urn_law_by_enumeration
 from exchkit.typespace import Alphabet, TypeVector, enumerate_types
+
+from helpers import random_law
 
 T = TypeVector
 
@@ -237,3 +242,72 @@ def test_simplex_grid():
         (Fraction(1), Fraction(0)),
     ]
     assert all(sum(theta) == 1 for theta in simplex_grid(3, 4))
+
+
+def test_urn_measure_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert len(urn_measure(T((3, 3)), 3).weights) == 4  # 4 compositions fit
+    with pytest.raises(CapacityError):
+        urn_measure(T((3, 3, 3)), 3)  # 10 compositions of 3 over 3 symbols
+
+
+def test_urn_law_by_enumeration_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert len(urn_law_by_enumeration(T((1, 1)), 2).weights) == 1  # 2 ordered draws
+    with pytest.raises(CapacityError):
+        urn_law_by_enumeration(T((2, 1)), 2)  # (3)_2 = 6 ordered draws
+
+
+def test_reconstruct_check_respects_cap(monkeypatch):
+    table = invert_urn(T((1, 1, 1)), 6)
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError):
+        reconstruct_check(table)  # walks all 10 mass-3 types
+
+
+def _combine(weights, columns):
+    out = {}
+    for w, column in zip(weights, columns):
+        for mu, a in column:
+            out[mu] = out.get(mu, Fraction(0)) + w * a
+    return {mu: v for mu, v in out.items() if v}
+
+
+def _pair(y, column):
+    return sum((a * y[mu] for mu, a in column), Fraction(0))
+
+
+def test_min_total_variation_contract():
+    # read only the returned weights and the outcome's value and row duals
+    rng = random.Random(41)
+    at_one = set()
+    for k in (1, 2, 3):
+        for n in (1, 2, 3):
+            for _ in range(2):
+                P = random_law(rng, k, n)
+                urns = [_urn_column(nu.counts, n) for nu in enumerate_types(k, n + rng.randint(0, 2))]
+                # a grid of depth >= n spans every mass-n type law
+                grid = _grid_columns(P, n + rng.randint(0, 1))[1]
+                for columns in (urns, grid):
+                    weights, out = _min_total_variation(P, columns)
+                    value = out.objective_value
+                    assert _combine(weights, columns) == dict(P.weights)
+                    assert sum((abs(w) for w in weights), Fraction(0)) == value
+                    assert (value == 1) == all(w >= 0 for w in weights)
+                    at_one.add(value == 1)
+                    # the duals of a "min" program belong to its negated form
+                    y = dict(zip(enumerate_types(k, n), (-c for c in out.certificate)))
+                    assert all(abs(_pair(y, column)) <= 1 for column in columns)
+                    assert sum((y[mu] * P.weight(mu) for mu in y), Fraction(0)) == value
+    assert at_one == {True, False}  # both mixtures and strictly signed optima
+
+
+def test_min_total_variation_infeasible_grid():
+    # the depth-1 grid holds only the two point masses, which miss 1:1
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    columns = _grid_columns(P, 1)[1]
+    weights, out = _min_total_variation(P, columns)
+    assert weights is None
+    y = dict(zip(enumerate_types(2, 2), out.certificate))
+    assert all(_pair(y, column) == 0 for column in columns)
+    assert sum((y[mu] * P.weight(mu) for mu in y), Fraction(0)) != 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit.errors import InputError
+from exchkit.errors import CapacityError, InputError
 from exchkit.measures import product_law, urn_measure
 from exchkit.oracle import matrix_rank
 from exchkit.symmetrize import (
@@ -133,3 +133,12 @@ def test_sparse_construction_and_totality():
         SymmetricFunction(AB, 2, {T((1, 1)): Fraction(1)})  # not total
     with pytest.raises(InputError):
         SymmetricFunction.from_values(AB, 2, {T((1, 1, 1)): Fraction(1)})
+
+
+def test_apply_U_respects_cap(monkeypatch):
+    g = SymmetricFunction.from_values(Alphabet(("a", "b", "c")), 1, {T((1, 0, 0)): Fraction(1)})
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError):
+        apply_U(g, 6)  # 28 mass-6 types
+    with pytest.raises(CapacityError):
+        kernel_check(g, 6)
