@@ -169,7 +169,7 @@ def coarse_convergence_check(
             f"coarse_convergence_check: need 1 <= i <= min(levels), got i={i}"
         )
     finest = max(levels)
-    fine_cells = finest * 2**finest
+    fine_cells = _dyadic_cells(finest)
     values = [as_fraction(v) for v in profile]
     if len(values) != fine_cells:
         raise InputError(

@@ -324,6 +324,7 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
         anchor = TypeVector.delta(mu.width - 1, mu.width, N) if N else TypeVector((0,) * mu.width)
         return InversionTable(mu, N, {anchor: Fraction(1)})
 
+    ensure_within_cap(type_count(len(mu.support()), n), "urn inversion types")
     lams, anchors = _anchored_types(mu, N)
     index = {lam: j for j, lam in enumerate(lams)}
     residual: dict[TypeVector, Fraction] = {mu: Fraction(1)}
@@ -402,6 +403,8 @@ def _min_total_variation(
     index = {mu: r for r, mu in enumerate(mus)}
     width = len(columns)
     # Variables: the positive parts of the weights, then the negative parts.
+    # Each negative-part column is the negated positive-part column, so the
+    # simplex stores the pair as one tableau column.
     rows = [[Fraction(0)] * (2 * width) for _ in mus]
     for v, column in enumerate(columns):
         for mu, coef in column:

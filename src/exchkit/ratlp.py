@@ -3,7 +3,10 @@
 Two-phase primal simplex on a dense tableau with Bland's anti-cycling rule.
 The tableau is exact but fraction-free: each row is a list of integers over
 one positive denominator, so a pivot costs integer multiplications and one
-gcd per row rather than a gcd per entry.  Every number in an outcome is a
+gcd per row rather than a gcd per entry.  Columns that are +1 or -1 times
+an earlier column (the two parts of a free variable, or a variable and its
+negated copy) share one stored tableau column; only the objective row has
+an entry for each of them.  Every number in an outcome is a
 :class:`fractions.Fraction`, and outcomes always carry enough data to be
 re-checked independently by :func:`verify`:
 
@@ -33,6 +36,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .caps import ensure_within_cap
@@ -166,10 +170,19 @@ def _eliminate(
 
 
 class _Simplex:
-    """One solve.  Internal variables are all >= 0 (free vars are split).
+    """One solve.  Internal variables are all >= 0: a free variable is a
+    positive and a negative part, which share one stored column.
 
     Tableau row ``i`` is the integer list ``T[i]`` over the positive
     denominator ``den[i]``; the objective row is ``obj`` over ``oden``.
+    Columns are indexed logically (structurals | slack/surplus |
+    artificials), and logical column ``j`` reads ``sign * T[i][stored]``
+    for ``(stored, sign) = colmap[j]``.  Structural columns that are +1 or
+    -1 times one another are stored once; a pivot keeps every copy equal
+    to its stored column up to that sign, so this changes no pivot.
+    ``T[i]`` holds the stored structurals, then the slack, artificial and
+    rhs slots.  The objective row keeps the logical width, since copies
+    differ in cost.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -205,13 +218,32 @@ class _Simplex:
             if b < 0:
                 flip = -1
                 rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            rows.append([flip * sign * ints[j] for j, sign in self.cols])
-            rhs.append(flip * ints[-1])
+                ints = [-v for v in ints]
+            rhs.append(ints.pop())
+            rows.append(ints)
             self.den.append(den)
             self.flip.append(flip)
             self.rels.append(rel)
 
-        m = len(rows)
+        # Store each original variable's column once up to sign, with its
+        # first nonzero entry positive; a column equal to +1 or -1 times an
+        # earlier one reads that one's stored entries.
+        stored: dict[tuple[int, ...], int] = {}
+        var_map: list[tuple[int, int]] = []  # orig var -> (stored, sign)
+        zero = (0,) * len(rows)
+        for column in zip(*rows) if rows else [zero] * n:
+            sign = 1
+            if column < zero:  # the first nonzero entry is negative
+                sign = -1
+                # From a list: tuple() of a generator over-allocates and
+                # resizes, which leaves a tuple on the free lists each time.
+                column = tuple([-v for v in column])
+            var_map.append((stored.setdefault(column, len(stored)), sign))
+        self.nstored = nstored = len(stored)
+        columns = list(stored)
+        del stored, rows
+
+        m = len(rhs)
         # Column layout: structurals | slack/surplus | artificials | rhs.
         self.slack_col = [-1] * m
         self.art_col = [-1] * m
@@ -226,27 +258,41 @@ class _Simplex:
                 width += 1
         self.width = width  # columns, excluding rhs slot
         self.artificials = {c for c in self.art_col if c >= 0}
+        shift = nstored - ncols
+        self.colmap = [(var_map[j][0], sign * var_map[j][1]) for j, sign in self.cols]
+        self.colmap += [(c + shift, 1) for c in range(ncols, width)]
+        # _logical reads logical slot j at gather[j] of a stored row that is
+        # followed by its negated structurals.
+        self.stored_width = width + shift + 1
+        self.gather = [s if sign > 0 else self.stored_width + s for s, sign in self.colmap]
+        self.gather.append(self.stored_width - 1)
 
         self.T: list[list[int]] = []
         self.basis: list[int] = []
         self.row_id: list[int] = list(range(m))  # surviving row -> ext row index
         self.pivots = 0
-        for i in range(m):
+        for i, entries in enumerate(zip(*columns)):
             den = self.den[i]
-            row = rows[i] + [0] * (width - ncols) + [rhs[i]]
+            row = [*entries, *[0] * (width - ncols), rhs[i]]
             if self.slack_col[i] >= 0:
-                row[self.slack_col[i]] = den if self.rels[i] == "<=" else -den
+                row[self.slack_col[i] + shift] = den if self.rels[i] == "<=" else -den
             if self.art_col[i] >= 0:
-                row[self.art_col[i]] = den
+                row[self.art_col[i] + shift] = den
             self.T.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i])
+
+    def _logical(self, row: list[int]) -> list[int]:
+        """A stored tableau row at the logical width."""
+        row = [*row, *map(neg, row[: self.nstored])]
+        return list(map(row.__getitem__, self.gather))
 
     # -- tableau mechanics ---------------------------------------------------
 
     def _pivot(self, row: int, col: int) -> None:
         T = self.T
         prow = T[row]
-        p = prow[col]
+        s, sign = self.colmap[col]
+        p = sign * prow[s]
         if p == 0:
             raise AssertionError("simplex: pivot on zero entry")
         self.pivots += 1
@@ -263,12 +309,12 @@ class _Simplex:
         for r, other in enumerate(T):
             if r == row:
                 continue
-            f = other[col]
+            f = other[s]
             if f:
-                T[r], self.den[r] = _eliminate(other, self.den[r], f, prow, p)
+                T[r], self.den[r] = _eliminate(other, self.den[r], sign * f, prow, p)
         f = self.obj[col]
         if f:
-            self.obj, self.oden = _eliminate(self.obj, self.oden, f, prow, p)
+            self.obj, self.oden = _eliminate(self.obj, self.oden, f, self._logical(prow), p)
         self.basis[row] = col
 
     def _set_objective(self, cost: dict[int, int], cden: int) -> None:
@@ -276,12 +322,13 @@ class _Simplex:
         # cost[j] / cden; obj[-1] / oden = -(objective value).
         basic = [(cost[b], i) for i, b in enumerate(self.basis) if b in cost]
         scale = lcm(*(self.den[i] for _, i in basic))
-        obj = [0] * (self.width + 1)
-        for j, c in cost.items():
-            obj[j] = c * scale
+        acc = [0] * self.stored_width
         for c, i in basic:
             w = c * (scale // self.den[i])
-            obj = [a - w * v for a, v in zip(obj, self.T[i])]
+            acc = [a - w * v for a, v in zip(acc, self.T[i])]
+        obj = self._logical(acc)
+        for j, c in cost.items():
+            obj[j] += c * scale
         oden = cden * scale
         g = gcd(oden, *obj)
         self.obj = [v // g for v in obj]
@@ -302,8 +349,9 @@ class _Simplex:
             # denominators cancel, and ratios compare by cross-multiplying.
             leave = -1
             best_rhs = best_coef = 0
+            s, sign = self.colmap[enter]
             for i, row in enumerate(self.T):
-                coef = row[enter]
+                coef = sign * row[s]
                 if coef > 0:
                     here = row[-1] * best_coef
                     there = best_rhs * coef
@@ -340,8 +388,9 @@ class _Simplex:
         while i < len(self.T):
             if self.basis[i] in self.artificials:
                 pivot_col = -1
-                for j in range(self.width):
-                    if j not in self.artificials and self.T[i][j] != 0:
+                row = self.T[i]
+                for j, (s, _) in enumerate(self.colmap):
+                    if j not in self.artificials and row[s] != 0:
                         pivot_col = j
                         break
                 if pivot_col >= 0:
@@ -394,8 +443,9 @@ class _Simplex:
         zero = Fraction(0)
         direction = [zero] * self.width
         direction[enter] = Fraction(1)
+        s, sign = self.colmap[enter]
         for i, b in enumerate(self.basis):
-            coef = self.T[i][enter]
+            coef = sign * self.T[i][s]
             if coef:
                 direction[b] = -Fraction(coef, self.den[i])
         return LpOutcome(

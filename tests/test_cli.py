@@ -193,6 +193,8 @@ def test_exit_code_2_on_uncapped_enumerations(capsys, monkeypatch):
     assert code == 2 and "cap" in err
     code, _, err = run_cli(capsys, "corpus", "dyadic-max", "--level", "2", "--check-N", "")
     assert code == 2 and "cap" in err
+    code, out, err = run_cli(capsys, "invert", '{"alphabet": ["a","b","c"], "type": "1:1:1"}', "--N", "6")
+    assert code == 2 and out == "" and "urn inversion types" in err
 
 
 def test_exit_code_3_on_internal_error(capsys, monkeypatch):

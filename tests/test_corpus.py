@@ -132,6 +132,13 @@ def test_dyadic_respects_cap(monkeypatch):
         dyadic_max_law(2, [1] * 8)  # 36 cell pairs
 
 
+def test_convergence_check_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert coarse_convergence_check([1], 1, [1, Fraction(1, 2)]) == [0]  # 3 cell pairs
+    with pytest.raises(CapacityError):
+        coarse_convergence_check([2], 1, [1] * 8)  # 36 cell pairs
+
+
 def test_convergence_self_comparison():
     assert coarse_convergence_check([1], 1, [1, Fraction(1, 2)]) == [0]
 

@@ -258,6 +258,13 @@ def test_urn_law_by_enumeration_respects_cap(monkeypatch):
         urn_law_by_enumeration(T((2, 1)), 2)  # (3)_2 = 6 ordered draws
 
 
+def test_invert_urn_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert reconstruct_check(invert_urn(T((1, 1)), 3))  # 3 mass-2 types fit
+    with pytest.raises(CapacityError, match="urn inversion types"):
+        invert_urn(T((1, 1, 1)), 6)  # 10 mass-3 types over 3 symbols
+
+
 def test_reconstruct_check_respects_cap(monkeypatch):
     table = invert_urn(T((1, 1, 1)), 6)
     monkeypatch.setenv("EXCHKIT_CAP", "5")

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from exchkit import measures
 from exchkit.caps import DEFAULT_RESOURCE_CAP
 from exchkit.errors import CapacityError, InputError
+from exchkit.extend import norm_EN
+from exchkit.measures import ExchangeableLaw
 from exchkit.oracle import solve_lp_by_enumeration
-from exchkit.ratlp import LinearProgram, LpStatus, solve, verify
+from exchkit.ratlp import LinearProgram, LpStatus, _Simplex, solve, verify
+from exchkit.typespace import Alphabet, TypeVector
 
 from helpers import random_lp
 
@@ -214,3 +218,60 @@ def test_oracle_agreement_mixed_denominators():
             assert value == out.objective_value
         statuses.add(status)
     assert statuses == set(LpStatus)
+
+
+def test_mirrored_columns_agree_with_oracle():
+    # columns equal to +1 or -1 times another share one stored tableau
+    # column; free variables are split into two such copies as well
+    rng = random.Random(41)
+
+    def coeff():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    statuses = set()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        base = [[coeff() for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        copies = [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))]
+        constraints = [
+            ([*row, *(sign * row[j] for j, sign in copies)], rng.choice(("<=", "=", ">=")), coeff())
+            for row in base
+        ]
+        width = n + len(copies)
+        free = [j for j in range(width) if rng.random() < 0.25]
+        lp = LinearProgram.build(
+            rng.choice(("max", "min")), [coeff() for _ in range(width)], constraints, free=free
+        )
+        assert _Simplex(lp).nstored <= n
+        out = solve(lp)
+        assert verify(lp, out)
+        status, value = solve_lp_by_enumeration(lp)
+        assert status is out.status
+        if status is LpStatus.OPTIMAL:
+            assert value == out.objective_value
+        statuses.add(status)
+    assert statuses == set(LpStatus)
+
+
+def test_norm_program_stores_each_urn_column_once(monkeypatch):
+    # {1:1:1 1/2, 3:0:0 1/2} at N=6: 28 urn columns, each with a negative
+    # part, over 10 equality rows (one artificial each) and the rhs
+    programs = []
+
+    def capture(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(measures, "solve", capture)
+    law = ExchangeableLaw(
+        Alphabet.of_size(3),
+        3,
+        {TypeVector((1, 1, 1)): Fraction(1, 2), TypeVector((3, 0, 0)): Fraction(1, 2)},
+    )
+    assert norm_EN(law, 6) > 1
+    (lp,) = programs
+    assert lp.num_vars == 2 * 28
+    tableau = _Simplex(lp)
+    assert len(tableau.T) == 10
+    assert all(len(row) == 28 + 10 + 1 for row in tableau.T)
+    assert tableau.width == 56 + 10
