@@ -119,23 +119,27 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(raw: str) -> Any:
-    if raw == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    elif raw.lstrip().startswith("{"):
+    if raw.lstrip().startswith("{"):
         text = raw
         source = "<inline>"
     else:
+        source = "<stdin>" if raw == "-" else raw
         try:
-            with open(raw, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            if raw == "-":
+                text = sys.stdin.buffer.read().decode("utf-8")
+            else:
+                with open(raw, "r", encoding="utf-8") as handle:
+                    text = handle.read()
         except OSError as exc:
             raise InputError(f"input: cannot read {raw!r}: {exc}") from None
-        source = raw
+        except UnicodeDecodeError as exc:
+            raise InputError(f"input: {source} is not UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"input: {source} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"input: {source} is nested too deeply") from None
 
 
 def _type_input(data: Any, field: str = "type"):
@@ -262,6 +266,8 @@ def _corpus_urn(n: int, ones: int, max_N: int | None) -> dict:
     top = max_N if max_N is not None else n + 3
     entry: dict[str, Any] = {"name": "urn", "law": law_to_dict(law)}
     if 0 < ones < n:
+        if top <= n:
+            raise InputError(f"corpus urn: need --max-N > n to check any N, got {top} <= {n}")
         norms = {}
         all_refuted = True
         for N in range(n + 1, top + 1):

@@ -303,6 +303,12 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     its positive part is the witness, above 1 its negated dual is a
     refutation with ``sup |U g| = 1`` and ``E_P g == norm``.  Every witness
     is checked against the marginal identities before it is returned.
+
+    The transport goes first because the urn columns it reads are set by
+    the mass-``n`` types of ``P``, not by ``N``, while the norm program has
+    two variables per mass-``N`` type: for large ``N`` the transport is the
+    only route that stays cheap, and once those types are more than half
+    the resource cap, the only one that runs at all.
     """
     _check_target(P, N)
     witness = _transport_witness(P, N)

@@ -400,18 +400,25 @@ def _min_total_variation(
     column and ``y . P`` equal to the value; otherwise a Farkas vector,
     orthogonal to every column but not to ``P``."""
     mus = enumerate_types(P.alphabet.size, P.n)
-    index = {mu: r for r, mu in enumerate(mus)}
+    # Keyed by count tuples, which hash in C; a TypeVector hashes in Python.
+    index = {mu.counts: r for r, mu in enumerate(mus)}
     width = len(columns)
+    nvars = 2 * width
     # Variables: the positive parts of the weights, then the negative parts.
     # Each negative-part column is the negated positive-part column, so the
     # simplex stores the pair as one tableau column.
-    rows = [[Fraction(0)] * (2 * width) for _ in mus]
+    zero = Fraction(0)
+    rows = [[zero] * nvars for _ in mus]
     for v, column in enumerate(columns):
         for mu, coef in column:
-            rows[index[mu]][v] = coef
-            rows[index[mu]][width + v] = -coef
-    constraints = [(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)]
-    out = solve(LinearProgram.build("min", [1] * (2 * width), constraints))
+            row = rows[index[mu.counts]]
+            row[v] = coef
+            row[width + v] = -coef
+    # Every entry is already a Fraction, so LinearProgram.build's coercion
+    # is skipped; __post_init__ still checks the shapes.
+    constraints = tuple((tuple(row), "=", P.weight(mu)) for row, mu in zip(rows, mus))
+    lp = LinearProgram((Fraction(1),) * nvars, "min", constraints, (zero,) * nvars, (None,) * nvars)
+    out = solve(lp)
     if out.status is not LpStatus.OPTIMAL:
         return None, out
     return [p - q if q else p for p, q in zip(out.primal, out.primal[width:])], out

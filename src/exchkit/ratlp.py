@@ -148,8 +148,11 @@ def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` as integers over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    # One call per entry reads both parts; rows of the norm program are
+    # mostly zeros, which need no division.
+    parts = [v.as_integer_ratio() for v in values]
+    den = lcm(*{q for _, q in parts})
+    return [p * (den // q) if p else 0 for p, q in parts], den
 
 
 def _eliminate(

@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, golden outputs."""
 
+import io
 import json
 import os
 import subprocess
@@ -135,6 +136,15 @@ def test_corpus_urn_and_dyadic(capsys):
     assert claims["mixture_certifies_infinite"] is True
 
 
+def test_corpus_urn_needs_a_larger_N(capsys):
+    # a non-extendible urn checked at no N at all would be a vacuous claim
+    for top in ("2", "3"):
+        code, out, err = run_cli(capsys, "corpus", "urn", "--n", "3", "--ones", "1", "--max-N", top)
+        assert code == 1 and out == "" and "--max-N" in err
+    code, out, _ = run_cli(capsys, "corpus", "urn", "--n", "3", "--ones", "1", "--max-N", "4")
+    assert code == 0 and json.loads(out)["claims"]["checked_N"] == [4]
+
+
 def test_corpus_all_runs_every_family(capsys):
     code, out, _ = run_cli(capsys, "corpus", "all")
     assert code == 0
@@ -145,7 +155,7 @@ def test_corpus_all_runs_every_family(capsys):
     assert all(e["claims"]["mixture_certifies_infinite"] for e in entries[2:])
 
 
-def test_exit_code_1_on_bad_input(capsys, tmp_path):
+def test_exit_code_1_on_bad_input(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "extend", '{"alphabet": ["a"], "n": 2}', "--N", "3")
     assert code == 1 and "weights" in err
 
@@ -153,6 +163,26 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
     bad.write_text("not json")
     code, _, err = run_cli(capsys, "extend", str(bad), "--N", "3")
     assert code == 1 and "JSON" in err
+
+    # undecodable bytes and nesting past the parser's depth are input
+    # errors too: one error line, no traceback
+    law = '{"alphabet": ["\u00e9", "b"], "n": 1, "weights": {"1:0": "1"}}'
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(law.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for path, reason in ((latin, "UTF-8"), (deep, "nested too deeply")):
+        code, out, err = run_cli(capsys, "extend", str(path), "--N", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: input: ") and reason in err and err.count("\n") == 1
+    # the same bytes on stdin get the same answer; UTF-8 on stdin is read
+    raw = io.BytesIO(law.encode("latin-1"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, errors="surrogateescape"))
+    code, out, err = run_cli(capsys, "extend", "-", "--N", "3")
+    assert code == 1 and out == "" and err.startswith("error: input: <stdin> is not UTF-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(law.encode("utf-8"))))
+    code, out, err = run_cli(capsys, "extend", "-", "--N", "3")
+    assert code == 0 and json.loads(out)["witness"]["alphabet"] == ["\u00e9", "b"]
 
     code, _, err = run_cli(capsys, "extend", URN_LAW, "--N", "1")
     assert code == 1  # N < n is an input error

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from exchkit.corpus import disjoint_pairs_law, dyadic_max_law, urn_without_replacement
-from exchkit.errors import InputError
+from exchkit.errors import CapacityError, InputError
 from exchkit.extend import (
     InfiniteOutcome,
     Verdict,
@@ -114,6 +114,43 @@ def test_transport_witness_fast_path():
     w = _transport_witness(P, 3)
     assert w is not None and marginal_matches(w, P)
     assert _transport_witness(URN, 3) is None  # signed transport
+
+
+def test_transport_decides_beyond_the_norm_program(monkeypatch):
+    # The type-space check allows |N_N| up to the cap, the norm program
+    # needs 2|N_N| variables; in between only the transport can decide.
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    solves = []
+
+    def counted(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(measures, "solve", counted)
+    monkeypatch.setenv("EXCHKIT_CAP", "10")
+    point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
+    for N in (4, 5, 9):  # 5, 6 and 10 types
+        report = check_extendible(point, N)
+        assert report.verdict is Verdict.EXTENDIBLE and report.norm == 1
+        assert_report_certified(point, report)
+    assert not solves
+    with pytest.raises(CapacityError, match="lp dimensions"):
+        check_extendible(URN, 5)  # signed transport: the solve is still needed
+    with pytest.raises(CapacityError, match="mass-N type space"):
+        check_extendible(point, 10)
+    with monkeypatch.context() as m:
+        m.setattr(extend, "_transport_witness", lambda P, N: None)
+        assert check_extendible(point, 4).verdict is Verdict.EXTENDIBLE
+        with pytest.raises(CapacityError, match="lp dimensions"):
+            check_extendible(point, 5)
+    # at the default cap, far past the LP's reach
+    monkeypatch.delenv("EXCHKIT_CAP")
+    solves.clear()
+    report = check_extendible(point, 30_000)
+    assert report.verdict is Verdict.EXTENDIBLE and not solves
+    assert report.witness.weights == {TypeVector((30_000, 0)): 1}
 
 
 def test_staircase_mixture_detection():
