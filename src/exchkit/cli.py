@@ -134,8 +134,18 @@ def _read_input(raw: str) -> Any:
             raise InputError(f"input: cannot read {raw!r}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"input: {source} is not UTF-8: {exc}") from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        # json.loads alone keeps the last of two equal keys without a word.
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"input: {source} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"input: {source} is not valid JSON: {exc}") from None
     except RecursionError:

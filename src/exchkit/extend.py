@@ -179,8 +179,10 @@ def _norm_program(
 ) -> tuple[list[TypeVector], list[Fraction], LpOutcome]:
     """Solve the norm program over the mass-``N`` urn columns; returns the
     mass-``N`` types, their optimal weights and the optimal outcome."""
+    # Two variables per urn column: fail on the cap before building any.
+    ensure_within_cap(2 * type_count(P.alphabet.size, N), "lp dimensions")
     nus = enumerate_types(P.alphabet.size, N)
-    weights, out = _min_total_variation(P, [_urn_column(nu.counts, P.n) for nu in nus])
+    weights, out = _min_total_variation(P, [_urn_column(nu, P.n) for nu in nus])
     if weights is None:
         raise AssertionError("norm: total-variation program must be solvable")
     if out.objective_value < 1:

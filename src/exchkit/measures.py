@@ -103,7 +103,7 @@ class ExchangeableLaw:
         total = sum(w.numerator * (common // w.denominator) for _, w in kept)
         if total != common:
             raise InputError(f"law: weights must sum to 1, got {Fraction(total, common)}")
-        kept.sort(key=lambda item: item[0].counts)
+        kept.sort()
         object.__setattr__(self, "weights", MappingProxyType(dict(kept)))
 
     def weight(self, tv: TypeVector) -> Fraction:
@@ -133,13 +133,13 @@ def urn_coefficient(nu: TypeVector, mu: TypeVector) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _urn_column(nu_counts: tuple[int, ...], n: int) -> tuple[tuple[TypeVector, Fraction], ...]:
+def _urn_column(nu: TypeVector, n: int) -> tuple[tuple[TypeVector, Fraction], ...]:
     """The urn measure of ``nu`` at mass ``n`` as ``(mu, a(nu, mu))`` pairs,
     lexicographically increasing over the subtypes ``mu`` of ``nu``."""
-    draws = math.comb(sum(nu_counts), n)
+    draws = math.comb(nu.mass, n)
     return tuple(
-        (mu, Fraction(math.prod(map(math.comb, nu_counts, mu.counts)), draws))
-        for mu in subtypes(_make_type(nu_counts), n)
+        (mu, Fraction(math.prod(map(math.comb, nu.counts, mu.counts)), draws))
+        for mu in subtypes(nu, n)
     )
 
 
@@ -149,7 +149,7 @@ def _urn_mixture(
     """Type weights of ``sum_nu weights[nu] * urn(nu, n)`` at mass ``n``."""
     out: dict[TypeVector, Fraction] = {}
     for nu, w in weights:
-        for mu, a in _urn_column(nu.counts, n):
+        for mu, a in _urn_column(nu, n):
             out[mu] = out.get(mu, 0) + w * a
     return out
 
@@ -169,7 +169,7 @@ def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> Exc
     elif alphabet.size != nu.width:
         raise InputError("urn_measure: alphabet size does not match urn type")
     ensure_within_cap(type_count(len(nu.support()), n), "urn draw types")
-    return ExchangeableLaw(alphabet, n, dict(_urn_column(nu.counts, n)))
+    return ExchangeableLaw(alphabet, n, dict(_urn_column(nu, n)))
 
 
 def product_law(
@@ -330,7 +330,7 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     residual: dict[TypeVector, Fraction] = {mu: Fraction(1)}
     coeffs = [0] * len(lams)
     for j in range(len(lams) - 1, -1, -1):
-        column = _urn_column(anchors[j].counts, n)
+        column = _urn_column(anchors[j], n)
         diagonal = 0
         for lam, a in column:
             i = index.get(lam, j + 1)  # a type off the lambda list is above the diagonal
@@ -400,8 +400,7 @@ def _min_total_variation(
     column and ``y . P`` equal to the value; otherwise a Farkas vector,
     orthogonal to every column but not to ``P``."""
     mus = enumerate_types(P.alphabet.size, P.n)
-    # Keyed by count tuples, which hash in C; a TypeVector hashes in Python.
-    index = {mu.counts: r for r, mu in enumerate(mus)}
+    index = {mu: r for r, mu in enumerate(mus)}
     width = len(columns)
     nvars = 2 * width
     # Variables: the positive parts of the weights, then the negative parts.
@@ -411,7 +410,7 @@ def _min_total_variation(
     rows = [[zero] * nvars for _ in mus]
     for v, column in enumerate(columns):
         for mu, coef in column:
-            row = rows[index[mu.counts]]
+            row = rows[index[mu]]
             row[v] = coef
             row[width + v] = -coef
     # Every entry is already a Fraction, so LinearProgram.build's coercion

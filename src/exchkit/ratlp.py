@@ -498,11 +498,22 @@ def _point_feasible(lp: LinearProgram, ext: list[Row], x: Sequence[Fraction]) ->
     return all(_satisfies(_row_value(coeffs, x), rel, rhs) for coeffs, rel, rhs in ext)
 
 
-def _dual_signs_ok(ext: list[Row], y: Sequence[Fraction]) -> bool:
+def _dual_feasible(
+    lp: LinearProgram, ext: list[Row], y: Sequence[Fraction], costs: Sequence[Fraction]
+) -> bool:
+    """Does ``y`` price every variable at ``costs``?  Each row's sign must
+    suit its relation, and ``sum_i y_i a_ij - costs_j`` must be 0 on a free
+    variable and nonnegative on a bounded one."""
+    if len(y) != len(ext):
+        return False
     for (_, rel, _), yi in zip(ext, y):
         if rel == "<=" and yi < 0:
             return False
         if rel == ">=" and yi > 0:
+            return False
+    for j, cj in enumerate(costs):
+        slack = sum((yi * row[j] for yi, (row, _, _) in zip(y, ext) if row[j]), -cj)
+        if slack < 0 or (slack and lp.lower[j] is None):
             return False
     return True
 
@@ -522,42 +533,19 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
             x, y = outcome.primal, outcome.certificate
             if x is None or y is None or outcome.objective_value is None:
                 return False
-            if len(y) != len(ext) or not _point_feasible(lp, ext, x):
+            if not _point_feasible(lp, ext, x) or not _dual_feasible(lp, ext, y, cmax):
                 return False
             original_value = _row_value(lp.objective, x)
             if original_value != outcome.objective_value:
                 return False
-            if not _dual_signs_ok(ext, y):
-                return False
-            for j in range(lp.num_vars):
-                slack = (
-                    sum((y[i] * ext[i][0][j] for i in range(len(ext)) if ext[i][0][j]), Fraction(0))
-                    - cmax[j]
-                )
-                if lp.lower[j] is None:
-                    if slack != 0:
-                        return False
-                elif slack < 0:
-                    return False
             dual_value = sum((yi * rhs for yi, (_, _, rhs) in zip(y, ext) if yi), Fraction(0))
             max_value = original_value if lp.sense == "max" else -original_value
             return dual_value == max_value
 
         if outcome.status is LpStatus.INFEASIBLE:
             y = outcome.certificate
-            if y is None or len(y) != len(ext):
+            if y is None or not _dual_feasible(lp, ext, y, (0,) * lp.num_vars):
                 return False
-            if not _dual_signs_ok(ext, y):
-                return False
-            for j in range(lp.num_vars):
-                combo = sum(
-                    (y[i] * ext[i][0][j] for i in range(len(ext)) if ext[i][0][j]), Fraction(0)
-                )
-                if lp.lower[j] is None:
-                    if combo != 0:
-                        return False
-                elif combo < 0:
-                    return False
             against = sum((yi * rhs for yi, (_, _, rhs) in zip(y, ext) if yi), Fraction(0))
             return against < 0
 

@@ -58,13 +58,23 @@ def alphabet_from_json(value: Any, context: str = "alphabet") -> Alphabet:
         raise InputError(f"{context}: {exc}") from None
 
 
-def _type_from_json(key: Any, width: int, context: str) -> TypeVector:
-    if not isinstance(key, str):
-        raise InputError(f"{context}: type keys must be strings")
-    try:
-        return TypeVector.from_typestring(key, width)
-    except InputError as exc:
-        raise InputError(f"{context}[{key!r}]: {exc}") from None
+def _type_map_from_json(raw: Any, width: int, context: str) -> dict[TypeVector, Fraction]:
+    """A ``{typestring: fraction}`` object as a map from types; two keys that
+    spell the same type (``"1:1"`` and ``"01:1"``) are an input error."""
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{context}: expected an object")
+    out: dict[TypeVector, Fraction] = {}
+    for key, value in raw.items():
+        if not isinstance(key, str):
+            raise InputError(f"{context}: type keys must be strings")
+        try:
+            tv = TypeVector.from_typestring(key, width)
+        except InputError as exc:
+            raise InputError(f"{context}[{key!r}]: {exc}") from None
+        if tv in out:
+            raise InputError(f"{context}[{key!r}]: type {tv.typestring()} given twice")
+        out[tv] = _parse_fraction_field(value, f"{context}[{key!r}]")
+    return out
 
 
 # -- laws ------------------------------------------------------------------------
@@ -85,13 +95,9 @@ def law_from_dict(data: Mapping[str, Any], context: str = "law") -> Exchangeable
     n = _require(data, "n", context)
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"{context}.n: expected an integer")
-    raw = _require(data, "weights", context)
-    if not isinstance(raw, Mapping):
-        raise InputError(f"{context}.weights: expected an object")
-    weights: dict[TypeVector, Fraction] = {}
-    for key, value in raw.items():
-        tv = _type_from_json(key, alphabet.size, f"{context}.weights")
-        weights[tv] = _parse_fraction_field(value, f"{context}.weights[{key!r}]")
+    weights = _type_map_from_json(
+        _require(data, "weights", context), alphabet.size, f"{context}.weights"
+    )
     try:
         return ExchangeableLaw(alphabet, n, weights)
     except InputError as exc:
@@ -116,13 +122,9 @@ def function_from_dict(data: Mapping[str, Any], context: str = "function") -> Sy
     m = _require(data, "m", context)
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"{context}.m: expected an integer")
-    raw = _require(data, "values", context)
-    if not isinstance(raw, Mapping):
-        raise InputError(f"{context}.values: expected an object")
-    values: dict[TypeVector, Fraction] = {}
-    for key, value in raw.items():
-        tv = _type_from_json(key, alphabet.size, f"{context}.values")
-        values[tv] = _parse_fraction_field(value, f"{context}.values[{key!r}]")
+    values = _type_map_from_json(
+        _require(data, "values", context), alphabet.size, f"{context}.values"
+    )
     try:
         return SymmetricFunction.from_values(alphabet, m, values)
     except InputError as exc:
@@ -282,8 +284,8 @@ def lp_from_dict(data: Mapping[str, Any], context: str = "lp") -> LinearProgram:
         )
         rows.append((coeffs, rel, rhs))
 
-    def parse_bound(raw, idx, which):
-        if raw in ("-inf", "inf"):
+    def parse_bound(raw, idx, which, infinity):
+        if raw == infinity:
             return None
         return _parse_fraction_field(raw, f"{context}.{which}[{idx}]")
 
@@ -293,8 +295,8 @@ def lp_from_dict(data: Mapping[str, Any], context: str = "lp") -> LinearProgram:
         raise InputError(f"{context}.lower: expected a list of {n} bounds")
     if not isinstance(upper_raw, list) or len(upper_raw) != n:
         raise InputError(f"{context}.upper: expected a list of {n} bounds")
-    lower = tuple(parse_bound(b, i, "lower") for i, b in enumerate(lower_raw))
-    upper = tuple(parse_bound(b, i, "upper") for i, b in enumerate(upper_raw))
+    lower = tuple(parse_bound(b, i, "lower", "-inf") for i, b in enumerate(lower_raw))
+    upper = tuple(parse_bound(b, i, "upper", "inf") for i, b in enumerate(upper_raw))
     try:
         return LinearProgram(objective, sense, tuple(rows), lower, upper)
     except InputError as exc:

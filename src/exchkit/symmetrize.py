@@ -98,7 +98,7 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     out: dict[TypeVector, Fraction] = {}
     for nu in enumerate_types(k, N):
         acc = Fraction(0)
-        for mu, a in _urn_column(nu.counts, n):
+        for mu, a in _urn_column(nu, n):
             gv = g.values[mu]
             if gv:
                 acc += a * gv

@@ -6,7 +6,9 @@ are the integer compositions of ``m`` into ``k`` nonnegative parts; there are
 ``C(m + k - 1, k - 1)`` of them and they index everything else in this
 library (urn measures, exchangeable laws, symmetric functions).
 
-All enumeration is in lexicographic order of the count tuples, first
+A :class:`TypeVector` is a one-field named tuple around its count tuple, so
+maps keyed by types hash and compare in C, and sorting types is sorting
+their count tuples.  All enumeration is in that lexicographic order, first
 coordinate most significant.  The order is fixed here once and reused
 wherever triangular structure is exploited.
 
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import le, sub
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 
@@ -104,22 +107,23 @@ class Alphabet:
         return Alphabet(tuple(f"s{i + 1}" for i in range(k)))
 
 
-@dataclass(frozen=True, order=True)
-class TypeVector:
+class TypeVector(namedtuple("TypeVector", "counts")):
     """Point measure on an alphabet: one nonnegative count per symbol.
 
-    Value object; compares and hashes by its count tuple, and the dataclass
-    ordering is exactly the lexicographic order used throughout.
+    A one-field named tuple: hashing, equality and ordering are the
+    tuple's own, done in C, and the order is exactly the lexicographic
+    order of the count tuples used throughout.  A type never equals its
+    bare count tuple, since ``((1, 2),) != (1, 2)``.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.counts, tuple):
-            object.__setattr__(self, "counts", tuple(self.counts))
-        for c in self.counts:
+    def __new__(cls, counts: Iterable[int]) -> "TypeVector":
+        counts = tuple(counts)
+        for c in counts:
             if not isinstance(c, int) or c < 0:
                 raise InputError(f"type: counts must be nonnegative integers, got {c!r}")
+        return tuple.__new__(cls, (counts,))
 
     @property
     def mass(self) -> int:
@@ -177,9 +181,7 @@ class TypeVector:
 def _make_type(counts: tuple[int, ...]) -> TypeVector:
     # Trusted fast path for hot loops: counts must already be a validated
     # tuple of nonnegative ints.  Public constructors keep full validation.
-    tv = object.__new__(TypeVector)
-    object.__setattr__(tv, "counts", counts)
-    return tv
+    return tuple.__new__(TypeVector, (counts,))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -213,16 +215,12 @@ def type_count(k: int, mass: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _multiset_count(counts: tuple[int, ...]) -> int:
-    total = math.factorial(sum(counts))
-    for c in counts:
-        total //= math.factorial(c)
-    return total
-
-
 def multiset_count(nu: TypeVector) -> int:
     """Number of sequences of type ``nu``: ``mass! / prod(counts!)``."""
-    return _multiset_count(nu.counts)
+    total = math.factorial(nu.mass)
+    for c in nu.counts:
+        total //= math.factorial(c)
+    return total
 
 
 def type_of(sequence: Sequence[int], alphabet: Alphabet) -> TypeVector:

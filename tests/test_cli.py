@@ -210,6 +210,23 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path, monkeypatch):
     assert code == 1 and out == ""
     assert err == "error: input.constraints: expected a list\n"
 
+    # input that would otherwise be read as something else: a type spelled
+    # twice, a JSON key given twice, an infinity on the wrong side
+    for argv, reason in (
+        (("extend", '{"alphabet": ["a", "b"], "n": 2, "weights": '
+          '{"1:1": "1/2", "01:1": "1/2", "2:0": "1/2"}}', "--N", "3"), "given twice"),
+        (("extend", '{"alphabet": ["a", "b"], "n": 2, "weights": '
+          '{"1:1": "1", "1:1": "1"}}', "--N", "3"), "repeats the key '1:1'"),
+        (("extend", '{"alphabet": ["a", "b"], "n": 2, "weights": {"2:0": "1"}, '
+          '"weights": {"1:1": "1"}}', "--N", "3"), "repeats the key 'weights'"),
+        (("lp-verify", '{"sense": "max", "objective": ["1"], "constraints": [], '
+          '"upper": ["-inf"]}'), "input.upper[0]"),
+        (("lp-verify", '{"sense": "max", "objective": ["1"], "constraints": [], '
+          '"lower": ["inf"]}'), "input.lower[0]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and reason in err and err.count("\n") == 1
+
 
 def test_exit_code_2_on_capacity(capsys, monkeypatch):
     monkeypatch.setenv("EXCHKIT_CAP", "5")

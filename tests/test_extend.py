@@ -153,6 +153,20 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
     assert report.witness.weights == {TypeVector((30_000, 0)): 1}
 
 
+def test_norm_program_over_the_cap_is_never_built(monkeypatch):
+    import exchkit.extend as extend
+
+    def built(P, columns):
+        raise AssertionError("norm program built over the cap")
+
+    monkeypatch.setattr(extend, "_min_total_variation", built)
+    monkeypatch.setenv("EXCHKIT_CAP", "20")  # 13 mass-12 types, 26 variables
+    with pytest.raises(CapacityError, match="lp dimensions: size 26"):
+        check_extendible(URN, 12)
+    with pytest.raises(CapacityError, match="lp dimensions: size 26"):
+        norm_EN(URN, 12)
+
+
 def test_staircase_mixture_detection():
     law, decomposition = dyadic_max_law(1, [1, Fraction(1, 2)])
     atoms = staircase_mixture(law)

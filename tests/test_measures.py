@@ -111,7 +111,7 @@ def test_urn_column_matches_urn_coefficient():
     for nu in urns:
         k, N = nu.width, nu.mass
         for n in range(0, N + 1):
-            column = _urn_column(nu.counts, n)
+            column = _urn_column(nu, n)
             expected = [
                 (mu, urn_coefficient(nu, mu)) for mu in enumerate_types(k, n) if mu.le(nu)
             ]
@@ -292,7 +292,7 @@ def test_min_total_variation_contract():
         for n in (1, 2, 3):
             for _ in range(2):
                 P = random_law(rng, k, n)
-                urns = [_urn_column(nu.counts, n) for nu in enumerate_types(k, n + rng.randint(0, 2))]
+                urns = [_urn_column(nu, n) for nu in enumerate_types(k, n + rng.randint(0, 2))]
                 # a grid of depth >= n spans every mass-n type law
                 grid = _grid_columns(P, n + rng.randint(0, 1))[1]
                 for columns in (urns, grid):

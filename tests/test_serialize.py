@@ -113,3 +113,28 @@ def test_lp_default_bounds():
     )
     assert lp.lower == (Fraction(0),)
     assert lp.upper == (None,)
+
+
+def test_type_given_twice_is_an_input_error():
+    # "01:1" parses to the type 1:1, so it must not overwrite the key "1:1"
+    law = {"alphabet": ["a", "b"], "n": 2, "weights": {"1:1": "1/2", "01:1": "1/2", "2:0": "1/2"}}
+    with pytest.raises(InputError, match="given twice"):
+        law_from_dict(law)
+    g = {"alphabet": ["a", "b"], "m": 2, "values": {"2:0": "1", " 2:0": "-1"}}
+    with pytest.raises(InputError, match="given twice"):
+        function_from_dict(g)
+
+
+@pytest.mark.parametrize("lower,upper", [(["inf"], ["inf"]), (["-inf"], ["-inf"])])
+def test_lp_bounds_take_only_their_own_infinity(lower, upper):
+    data = {
+        "sense": "max",
+        "objective": ["1"],
+        "constraints": [],
+        "lower": lower,
+        "upper": upper,
+    }
+    with pytest.raises(InputError):
+        lp_from_dict(data)
+    free = lp_from_dict(dict(data, lower=["-inf"], upper=["inf"]))
+    assert free.lower == (None,) and free.upper == (None,)

@@ -152,3 +152,28 @@ def test_fraction_text_forms():
 
 def test_lexicographic_dataclass_order():
     assert TypeVector((0, 2)) < TypeVector((1, 1)) < TypeVector((2, 0))
+
+
+def test_type_vector_is_its_count_tuple_in_one_field():
+    import pickle
+
+    from exchkit.typespace import _make_type
+
+    pairs = [(a, b) for a in enumerate_types(ABC, 2) for b in enumerate_types(ABC, 2)]
+    for a, b in pairs:
+        assert (a == b) == (a.counts == b.counts)
+        assert (a < b) == (a.counts < b.counts)
+    assert hash(TypeVector((1, 2))) == hash(TypeVector([1, 2]))
+    assert len({TypeVector((1, 2)), TypeVector([1, 2]), TypeVector((2, 1))}) == 2
+    assert TypeVector((1, 2)) != (1, 2) and (1, 2) not in {TypeVector((1, 2)): 0}
+    assert repr(TypeVector((1, 2))) == "TypeVector(counts=(1, 2))"
+    assert _make_type((0, 3, 1)) == TypeVector((0, 3, 1))
+    tv = TypeVector((4, 0, 2))
+    back = pickle.loads(pickle.dumps(tv))
+    assert back == tv and type(back) is TypeVector and back.mass == 6
+    with pytest.raises(AttributeError):
+        tv.counts = (1, 1, 1)
+    assert not hasattr(tv, "__dict__")
+    for bad in ((1, -1), (1, 2.0), ("1",), (None,)):
+        with pytest.raises(InputError):
+            TypeVector(bad)
