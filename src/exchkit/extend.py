@@ -26,8 +26,11 @@ Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
 nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
-matrix depends only on the larger symbol index).  Every fast-path witness
-is verified against the marginal identities before being trusted.
+matrix depends only on the larger symbol index).  The transport inverts
+each count pattern of ``P`` once: a type's table is its pattern's table
+relabelled onto its support.  Every fast-path witness is verified against
+the marginal identities before being trusted, and a verified one settles
+``norm_EN`` as well as ``check_extendible`` without a solve.
 """
 
 from __future__ import annotations
@@ -198,8 +201,15 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
     total variation of a signed combination of urn measures reproducing
     ``P`` - which has only ``|N_n|`` rows and the identical exact value.
     Always >= 1, with equality iff ``P`` is N-extendible.
+
+    A constructive witness (see :func:`check_extendible`) pins the norm to
+    1 without a solve, and before the program's size is checked against
+    the cap, so a law the transport settles has a norm at any ``N``
+    whose mass-``N`` types are within the cap.
     """
     _check_target(P, N)
+    if _constructive_witness(P, N) is not None:
+        return Fraction(1)
     return _norm_program(P, N)[2].objective_value
 
 
@@ -211,10 +221,29 @@ def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
 
     The result always satisfies the marginal identities but may be signed;
     it is a witness exactly when it lands in the nonnegative orthant.
+
+    A type's table is its count pattern's table relabelled (see
+    :func:`~exchkit.measures.invert_urn`), so each distinct pattern is
+    inverted once, on the canonical type whose counts are the pattern,
+    and its anchors are placed onto each type's ordered support.
     """
+    k = P.alphabet.size
+    tables: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
     t: dict[TypeVector, Fraction] = {}
     for mu, w in P.weights.items():
-        for nu, c in invert_urn(mu, N).coeffs.items():
+        counts = mu.counts
+        # The support order of _anchored_types: ascending count, then position.
+        sup = sorted(mu.support(), key=lambda i: (counts[i], i))
+        pattern = tuple([counts[i] for i in sup])
+        table = tables.get(pattern)
+        if table is None:
+            coeffs = invert_urn(_make_type(pattern), N).coeffs
+            table = tables[pattern] = [(local.counts, c) for local, c in coeffs.items()]
+        out = [0] * k
+        for local, c in table:
+            for i, m in zip(sup, local):
+                out[i] = m
+            nu = _make_type(tuple(out))
             t[nu] = t.get(nu, Fraction(0)) + w * c
     if any(v < 0 for v in t.values()):
         return None
@@ -283,6 +312,25 @@ def mixture_extension(
     return ExchangeableLaw(alphabet, N, _mixture_type_weights(atoms, N))
 
 
+def _verify_witness(witness: ExchangeableLaw, P: ExchangeableLaw) -> None:
+    if not marginal_matches(witness, P):
+        raise AssertionError("extend: witness failed the marginal identity")
+
+
+def _constructive_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
+    """The transport if it is nonnegative, else the staircase mixture at
+    length ``N``, verified against the marginal identities; None when
+    neither applies.  Never solves a program."""
+    witness = _transport_witness(P, N)
+    if witness is None:
+        atoms = staircase_mixture(P)
+        if atoms is None:
+            return None
+        witness = mixture_extension(atoms, N, P.alphabet)
+    _verify_witness(witness, P)
+    return witness
+
+
 # -- the decision ------------------------------------------------------------------
 
 
@@ -313,11 +361,7 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     the resource cap, the only one that runs at all.
     """
     _check_target(P, N)
-    witness = _transport_witness(P, N)
-    if witness is None:
-        atoms = staircase_mixture(P)
-        if atoms is not None:
-            witness = mixture_extension(atoms, N, P.alphabet)
+    witness = _constructive_witness(P, N)
     if witness is None:
         nus, weights, out = _norm_program(P, N)
         norm = out.objective_value
@@ -327,8 +371,7 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
         if any(w < 0 for w in weights):
             raise AssertionError("extend: norm-1 optimum has a negative weight")
         witness = ExchangeableLaw(P.alphabet, N, {nu: w for nu, w in zip(nus, weights) if w})
-    if not marginal_matches(witness, P):
-        raise AssertionError("extend: witness failed the marginal identity")
+        _verify_witness(witness, P)
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
 
 
@@ -352,6 +395,8 @@ def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
     """Nonnegative mixture of grid product laws reproducing P, if any: the
     least-total-variation grid combination when its value is 1 (the
     weights sum to 1, so a total variation of 1 leaves none negative)."""
+    # Two variables per grid point: fail on the cap before building any.
+    ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
     thetas, columns = _grid_columns(P, depth)
     weights, out = _min_total_variation(P, columns)
     if weights is None or out.objective_value != 1:

@@ -208,7 +208,8 @@ def _mixture_type_weights(
     one common denominator ``L = lcm_j(w_j.den * D_j**n)``, with ``D_j``
     the lcm of the denominators of ``theta_j``, so that each
     (atom, type) pair costs integer multiplies only and each output entry
-    a single Fraction.
+    a single Fraction, shared by every entry with the same numerator
+    (symmetric atoms give many types equal weights).
     """
     prepared = []
     for w, theta in atoms:
@@ -238,7 +239,15 @@ def _mixture_type_weights(
             acc[key] = acc.get(key, 0) + scale * ways * power
             for pos in draw:
                 counts[pos] = 0
-    return {_make_type(c): Fraction(v, denominator) for c, v in sorted(acc.items()) if v}
+    shared: dict[int, Fraction] = {}
+    out: dict[TypeVector, Fraction] = {}
+    for c, v in sorted(acc.items()):
+        if v:
+            q = shared.get(v)
+            if q is None:
+                q = shared[v] = Fraction(v, denominator)
+            out[_make_type(c)] = q
+    return out
 
 
 def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:
@@ -315,6 +324,14 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     solves it: a residual starts at the point mass on ``mu``, and each row
     takes its coefficient from the residual at its lambda and subtracts
     that multiple of its column.
+
+    The table depends on ``mu`` only through its count pattern, the
+    nonzero counts in the support order of ``_anchored_types`` (ascending
+    count, then position): if ``mu`` has pattern ``p``, its table is the
+    table of the canonical type ``p`` (width ``len(p)``) with local slot
+    ``j`` placed on the ``j``-th symbol of that order, coefficients
+    unchanged.  Placing the slots in another order (ties broken the other
+    way, say) can put the anchors on the wrong symbols.
     """
     n = mu.mass
     if N < n:

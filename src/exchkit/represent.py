@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .caps import ensure_within_cap
 from .errors import InputError, RepresentationError
 from .measures import (
     Atom,
@@ -29,7 +30,7 @@ from .measures import (
     _mixture_type_weights,
 )
 from .symmetrize import SymmetricFunction, expectation
-from .typespace import TypeVector, as_fraction
+from .typespace import TypeVector, as_fraction, type_count
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     depth = grid_depth
     last_farkas = None
     for _ in range(5):
+        # Two variables per grid point: fail on the cap before building any.
+        ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
         thetas, columns = _grid_columns(P, depth)
         weights, out = _min_total_variation(P, columns)
         if weights is not None:

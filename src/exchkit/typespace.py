@@ -157,11 +157,12 @@ class TypeVector(namedtuple("TypeVector", "counts")):
     def from_typestring(text: str, width: int | None = None) -> "TypeVector":
         if not isinstance(text, str):
             raise InputError(f"type: expected a typestring, got {type(text).__name__}")
-        try:
-            counts = tuple(int(part) for part in text.split(":"))
-        except ValueError as exc:
-            raise InputError(f"type: bad typestring {text!r}") from exc
-        tv = TypeVector(counts)
+        parts = text.split(":")
+        # ASCII digits only: int() would also read "1_0", "+1", " 1" and
+        # other scripts' digits as counts.
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise InputError(f"type: bad typestring {text!r}")
+        tv = TypeVector(tuple(map(int, parts)))
         if width is not None and tv.width != width:
             raise InputError(
                 f"type: typestring {text!r} has {tv.width} counts, expected {width}"

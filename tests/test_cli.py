@@ -223,6 +223,11 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path, monkeypatch):
           '"upper": ["-inf"]}'), "input.upper[0]"),
         (("lp-verify", '{"sense": "max", "objective": ["1"], "constraints": [], '
           '"lower": ["inf"]}'), "input.lower[0]"),
+    ) + tuple(
+        # int() would read each of these counts as a number
+        (("invert", '{"alphabet": ["a", "b"], "type": "%s"}' % text, "--N", "10"),
+         "bad typestring")
+        for text in ("1_0:0", "+1:0", " 1:0", "\u0661:0")
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and reason in err and err.count("\n") == 1

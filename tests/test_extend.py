@@ -21,7 +21,13 @@ from exchkit.extend import (
     probe_infinite,
     staircase_mixture,
 )
-from exchkit.measures import ExchangeableLaw, marginalize, product_law, urn_measure
+from exchkit.measures import (
+    ExchangeableLaw,
+    invert_urn,
+    marginalize,
+    product_law,
+    urn_measure,
+)
 from exchkit.ratlp import solve
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, TypeVector, enumerate_types, multiset_count
@@ -114,6 +120,63 @@ def test_transport_witness_fast_path():
     w = _transport_witness(P, 3)
     assert w is not None and marginal_matches(w, P)
     assert _transport_witness(URN, 3) is None  # signed transport
+
+
+def test_transport_equals_the_sum_of_inversion_tables():
+    # the per-pattern transport against the reference: every type of P
+    # inverted on its own, summed in Fractions
+    rng = random.Random(23)
+    laws = []
+    for k, n in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 2), (5, 3)):
+        for _ in range(4):
+            laws.append(random_law(rng, k, n))
+            laws.append(product_law(random_theta(rng, k), n))
+    repeated = signed = nonnegative = 0
+    for P in laws:
+        patterns = [tuple(sorted(c for c in mu.counts if c)) for mu in P.weights]
+        repeated += P.alphabet.size == 5 and len(set(patterns)) < len(patterns)
+        for N in range(P.n, P.n + 4):
+            reference: dict[TypeVector, Fraction] = {}
+            for mu, w in P.weights.items():
+                for nu, c in invert_urn(mu, N).coeffs.items():
+                    reference[nu] = reference.get(nu, Fraction(0)) + w * c
+            witness = _transport_witness(P, N)
+            if any(v < 0 for v in reference.values()):
+                assert witness is None
+                signed += 1
+            else:
+                assert witness.weights == {nu: v for nu, v in reference.items() if v}
+                nonnegative += 1
+    assert repeated and signed and nonnegative
+
+
+def test_norm_takes_the_constructive_witness_first(monkeypatch):
+    # a transport or staircase witness pins the norm to 1 without a solve,
+    # even where the norm program is over the cap
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    solves = []
+
+    def counted(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(measures, "solve", counted)
+    point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
+    assert norm_EN(point, 30_000) == 1
+    staircase = dyadic_max_law(1, [1, 1])[0]  # uniform product on two symbols
+    assert _transport_witness(staircase, 4) is None
+    assert staircase_mixture(staircase) is not None
+    monkeypatch.setenv("EXCHKIT_CAP", "8")  # 5 mass-4 types, 10 variables
+    assert norm_EN(staircase, 4) == 1
+    assert not solves
+    # a constructive witness is checked, and a failed check is never
+    # answered by the program instead
+    monkeypatch.setattr(extend, "marginal_matches", lambda witness, P: False)
+    with pytest.raises(AssertionError, match="marginal identity"):
+        norm_EN(point, 4)
+    assert not solves
 
 
 def test_transport_decides_beyond_the_norm_program(monkeypatch):

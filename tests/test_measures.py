@@ -190,6 +190,29 @@ def test_l1_depends_only_on_support_profile():
     assert all(v >= 1 for v in worst.values())
 
 
+def _ordered_support(mu: TypeVector) -> list[int]:
+    # ascending count, then position: the order the inversion anchors use
+    return sorted(mu.support(), key=lambda i: (mu.counts[i], i))
+
+
+def test_invert_urn_is_its_pattern_table_relabelled():
+    # the relabelling the transport relies on: a type's table is the table
+    # of its count pattern, placed slot by slot onto its ordered support
+    for k in range(1, 5):
+        for n in range(1, 4):
+            for mu in enumerate_types(k, n):
+                sup = _ordered_support(mu)
+                pattern = T(tuple(sorted(c for c in mu.counts if c)))
+                for N in range(n, n + 4):
+                    placed = {}
+                    for local, c in invert_urn(pattern, N).coeffs.items():
+                        counts = [0] * k
+                        for i, m in zip(sup, local.counts):
+                            counts[i] = m
+                        placed[T(tuple(counts))] = c
+                    assert dict(invert_urn(mu, N).coeffs) == placed, (mu, N)
+
+
 def test_product_law_examples():
     assert dict(product_law((Fraction(1), Fraction(0)), 3).weights) == {
         T((3, 0)): Fraction(1)
@@ -204,6 +227,12 @@ def test_product_law_examples():
         T((1, 1)): Fraction(4, 9),
         T((2, 0)): Fraction(1, 9),
     }
+
+
+def test_mixture_weights_share_one_fraction_per_value():
+    # a uniform atom gives every type of one shape the same weight
+    weights = product_law((Fraction(1, 3),) * 3, 3).weights
+    assert len({id(w) for w in weights.values()}) == len(set(weights.values())) == 3
 
 
 def test_product_law_rejects_non_distribution():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exchkit.corpus import urn_without_replacement
-from exchkit.errors import InputError, RepresentationError
+from exchkit.errors import CapacityError, InputError, RepresentationError
 from exchkit.extend import InfiniteOutcome, probe_infinite
 from exchkit.measures import product_law
 from exchkit.represent import (
@@ -185,6 +185,28 @@ def test_tv_bound_below_tv_of_same_grid_mixtures():
             bound = tv_lower_bound(law, g, depth)
             if not bound.infinite:
                 assert bound.value <= mix.total_variation
+
+
+def test_grid_program_over_the_cap_is_never_built(monkeypatch):
+    # 61 grid points fit a cap of 100; the program's 122 variables do not
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    P = product_law(HALF, 2)
+    built = []
+    weights = measures._mixture_type_weights
+
+    def counted(atoms, n):
+        built.append(atoms)
+        return weights(atoms, n)
+
+    monkeypatch.setattr(measures, "_mixture_type_weights", counted)
+    monkeypatch.setenv("EXCHKIT_CAP", "100")
+    with pytest.raises(CapacityError, match="lp dimensions: size 122"):
+        signed_mixture(P, 60)
+    with pytest.raises(CapacityError, match="lp dimensions: size 122"):
+        extend._grid_mixture(P, 60)
+    assert not built
 
 
 def test_mixture_validation():

@@ -120,8 +120,12 @@ def test_type_given_twice_is_an_input_error():
     law = {"alphabet": ["a", "b"], "n": 2, "weights": {"1:1": "1/2", "01:1": "1/2", "2:0": "1/2"}}
     with pytest.raises(InputError, match="given twice"):
         law_from_dict(law)
-    g = {"alphabet": ["a", "b"], "m": 2, "values": {"2:0": "1", " 2:0": "-1"}}
+    g = {"alphabet": ["a", "b"], "m": 2, "values": {"2:0": "1", "02:0": "-1"}}
     with pytest.raises(InputError, match="given twice"):
+        function_from_dict(g)
+    # a count with a space in it is not a spelling of 2 at all
+    g = {"alphabet": ["a", "b"], "m": 2, "values": {"2:0": "1", " 2:0": "-1"}}
+    with pytest.raises(InputError, match="bad typestring"):
         function_from_dict(g)
 
 

@@ -102,6 +102,14 @@ def test_typestring_round_trip(counts):
     assert TypeVector.from_typestring(tv.typestring()) == tv
 
 
+@pytest.mark.parametrize(
+    "text", ["1_0:0", "+1:0", " 1:0", "1:0 ", "\u0661:0", "1::0", "", "-1:2"]
+)
+def test_typestring_takes_only_ascii_digits(text):
+    with pytest.raises(InputError, match="bad typestring"):
+        TypeVector.from_typestring(text)
+
+
 def test_typestring_width_check():
     with pytest.raises(InputError):
         TypeVector.from_typestring("1:2", 3)
