@@ -110,7 +110,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--profile", type=str, default=None,
                    help="comma-separated nonincreasing fractions")
     p.add_argument("--check-N", type=str, default="3,4", dest="check_N")
-    p.add_argument("--epsilon", type=str, default="1/100")
 
     p = sub.add_parser("lp-verify", help="solve an LP and re-check its certificate")
     p.add_argument("input")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .caps import ensure_within_cap
 from .errors import InputError
-from .extend import staircase_mixture
+from .extend import _pair_matrix, staircase_mixture
 from .measures import ExchangeableLaw
 from .represent import SignedMixture
 from .typespace import Alphabet, RationalLike, TypeVector, as_fraction
@@ -138,16 +138,6 @@ def dyadic_max_law(
     return law, SignedMixture(atoms)
 
 
-def _pair_table(level: int, values: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Ordered cell-pair probabilities of the dyadic-max law at one level."""
-    cells = level * 2**level
-    total = sum(((2 * r + 1) * v for r, v in enumerate(values)), Fraction(0))
-    if total == 0:
-        raise InputError("coarse_convergence_check: profile vanishes at a level")
-    c = 1 / total
-    return [[c * values[max(a, b)] for b in range(cells)] for a in range(cells)]
-
-
 def coarse_convergence_check(
     levels: Sequence[int], i: int, profile: Sequence[RationalLike]
 ) -> list[Fraction]:
@@ -155,7 +145,9 @@ def coarse_convergence_check(
     level-``i`` cell rectangles.
 
     ``profile`` gives the value at every grid point of the finest level in
-    ``levels`` (coarser levels subsample it).  For each level ``j`` the
+    ``levels`` (coarser levels subsample it), and each level's law is
+    :func:`dyadic_max_law` of its subsample, so the profile must meet that
+    function's conditions at every level.  For each level ``j`` the
     result holds ``max over level-i rectangles A of |P_j(A) - P_jmax(A)|``.
     The trend is expected to fall toward zero as levels refine; it is
     reported, not asserted.
@@ -183,7 +175,7 @@ def coarse_convergence_check(
         return [values[r * step - 1] for r in range(1, j * 2**j + 1)]
 
     def coarse_table(j: int) -> list[list[Fraction]]:
-        fine = _pair_table(j, level_values(j))
+        fine = _pair_matrix(dyadic_max_law(j, level_values(j))[0])
         blocks = 2 ** (j - i)
         size = i * 2**i
         out = [[Fraction(0)] * size for _ in range(size)]

@@ -182,7 +182,7 @@ def _norm_program(
 ) -> tuple[list[TypeVector], list[Fraction], LpOutcome]:
     """Solve the norm program over the mass-``N`` urn columns; returns the
     mass-``N`` types, their optimal weights and the optimal outcome."""
-    # Two variables per urn column: fail on the cap before building any.
+    # Two signed columns per urn column: fail on the cap before building any.
     ensure_within_cap(2 * type_count(P.alphabet.size, N), "lp dimensions")
     nus = enumerate_types(P.alphabet.size, N)
     weights, out = _min_total_variation(P, [_urn_column(nu, P.n) for nu in nus])
@@ -395,7 +395,7 @@ def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
     """Nonnegative mixture of grid product laws reproducing P, if any: the
     least-total-variation grid combination when its value is 1 (the
     weights sum to 1, so a total variation of 1 leaves none negative)."""
-    # Two variables per grid point: fail on the cap before building any.
+    # Two signed columns per grid point: fail on the cap before building any.
     ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
     thetas, columns = _grid_columns(P, depth)
     weights, out = _min_total_variation(P, columns)

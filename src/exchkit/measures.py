@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .caps import ensure_within_cap
 from .errors import InputError
-from .ratlp import LinearProgram, LpOutcome, LpStatus, solve
+from .ratlp import LpOutcome, LpStatus, _Simplex
 from .typespace import (
     Alphabet,
     RationalLike,
@@ -408,36 +408,33 @@ def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, 
 
 def _min_total_variation(
     P: ExchangeableLaw, columns: Sequence[Iterable[tuple[TypeVector, Fraction]]]
-) -> tuple[Optional[list[Fraction]], LpOutcome]:
+) -> tuple[Optional[tuple[Fraction, ...]], LpOutcome]:
     """Least total variation of a signed combination of the sparse
     ``(type, weight)`` columns reproducing ``P``: the signed weight of each
-    column (None unless OPTIMAL) and the outcome.  Its certificate has one
+    column (None unless OPTIMAL) and the outcome.  Each weight is one
+    variable, declared to the simplex as a +1 column (its positive part)
+    and a -1 column (its negative part) at cost 1 each, all positive parts
+    first; no negated copy of a column is written.  Its certificate has one
     entry per mass-``n`` type in ``enumerate_types`` order: at the optimum
     the row duals, whose negation ``y`` has ``|y . column| <= 1`` for every
     column and ``y . P`` equal to the value; otherwise a Farkas vector,
     orthogonal to every column but not to ``P``."""
     mus = enumerate_types(P.alphabet.size, P.n)
-    index = {mu: r for r, mu in enumerate(mus)}
     width = len(columns)
-    nvars = 2 * width
-    # Variables: the positive parts of the weights, then the negative parts.
-    # Each negative-part column is the negated positive-part column, so the
-    # simplex stores the pair as one tableau column.
+    # Two signed columns per weight.
+    ensure_within_cap(max(2 * width, len(mus)), "lp dimensions")
+    index = {mu: r for r, mu in enumerate(mus)}
     zero = Fraction(0)
-    rows = [[zero] * nvars for _ in mus]
+    rows = [[zero] * width for _ in mus]
     for v, column in enumerate(columns):
         for mu, coef in column:
-            row = rows[index[mu]]
-            row[v] = coef
-            row[width + v] = -coef
-    # Every entry is already a Fraction, so LinearProgram.build's coercion
-    # is skipped; __post_init__ still checks the shapes.
-    constraints = tuple((tuple(row), "=", P.weight(mu)) for row, mu in zip(rows, mus))
-    lp = LinearProgram((Fraction(1),) * nvars, "min", constraints, (zero,) * nvars, (None,) * nvars)
-    out = solve(lp)
+            rows[index[mu]][v] = coef
+    cost = Fraction(-1)  # 1 in the min sense
+    signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
+    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed).solve()
     if out.status is not LpStatus.OPTIMAL:
         return None, out
-    return [p - q if q else p for p, q in zip(out.primal, out.primal[width:])], out
+    return out.primal, replace(out, objective_value=-out.objective_value)
 
 
 __all__ = [

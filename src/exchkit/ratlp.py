@@ -3,10 +3,12 @@
 Two-phase primal simplex on a dense tableau with Bland's anti-cycling rule.
 The tableau is exact but fraction-free: each row is a list of integers over
 one positive denominator, so a pivot costs integer multiplications and one
-gcd per row rather than a gcd per entry.  Columns that are +1 or -1 times
-an earlier column (the two parts of a free variable, or a variable and its
-negated copy) share one stored tableau column; only the objective row has
-an entry for each of them.  Every number in an outcome is a
+gcd per row rather than a gcd per entry.  The caller declares the signed
+columns the simplex works over, each +1 or -1 times one variable's column:
+:func:`solve` declares the two parts of a free variable, and the
+total-variation program in :mod:`exchkit.measures` the negative part of
+every weight.  The tableau stores each variable's column once; only the
+objective row has an entry for each sign.  Every number in an outcome is a
 :class:`fractions.Fraction`, and outcomes always carry enough data to be
 re-checked independently by :func:`verify`:
 
@@ -33,7 +35,7 @@ conventions without any shared state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
@@ -172,82 +174,58 @@ def _eliminate(
     return new, den
 
 
+# A logical column of the simplex: ``sign`` (+1 or -1) times the stored
+# column of one variable, with its cost in the maximization form.
+SignedColumn = tuple[int, int, Fraction]
+
+
 class _Simplex:
-    """One solve.  Internal variables are all >= 0: a free variable is a
-    positive and a negative part, which share one stored column.
+    """One solve of ``max sum cost * x`` over nonnegative logical columns,
+    each +1 or -1 times one variable's column of the extended ``rows``.
+    The caller declares the signed columns, so a free variable is its
+    ``+1`` and ``-1`` columns, and ``measures`` declares the negative
+    part of every weight the same way.
 
     Tableau row ``i`` is the integer list ``T[i]`` over the positive
     denominator ``den[i]``; the objective row is ``obj`` over ``oden``.
-    Columns are indexed logically (structurals | slack/surplus |
+    Columns are indexed logically (signed columns | slack/surplus |
     artificials), and logical column ``j`` reads ``sign * T[i][stored]``
-    for ``(stored, sign) = colmap[j]``.  Structural columns that are +1 or
-    -1 times one another are stored once; a pivot keeps every copy equal
-    to its stored column up to that sign, so this changes no pivot.
-    ``T[i]`` holds the stored structurals, then the slack, artificial and
-    rhs slots.  The objective row keeps the logical width, since copies
-    differ in cost.
+    for ``(stored, sign) = colmap[j]``.  ``T[i]`` holds each variable's
+    entry once, then the slack, artificial and rhs slots; a pivot keeps
+    every logical column equal to its stored column up to its sign.  The
+    objective row keeps the logical width, since the signs differ in cost.
+    The outcome's primal is per variable (the signed sum of its columns),
+    and its value is in the maximization form.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        ext = _extended_rows(lp)
-        n = lp.num_vars
-        ensure_within_cap(max(n, len(ext), 1), "lp dimensions")
-
-        # Split free variables into positive and negative parts.
-        self.cols: list[tuple[int, int]] = []  # (orig var, sign)
-        for j in range(n):
-            self.cols.append((j, 1))
-            if lp.lower[j] is None:
-                self.cols.append((j, -1))
-        ncols = len(self.cols)
+    def __init__(self, rows: Sequence[Row], columns: Sequence[SignedColumn]):
+        self.cols = [(j, sign) for j, sign, _ in columns]
+        self.nvars = nvars = 1 + max(j for j, _ in self.cols)
+        ncols = len(columns)
         # Cost of each column in the maximization form, over denominator cden.
-        ints, self.cden = _integer_row(lp.objective)
-        sense = 1 if lp.sense == "max" else -1
-        self.cost = {
-            col: sense * sign * ints[j] for col, (j, sign) in enumerate(self.cols) if ints[j]
-        }
+        ints, self.cden = _integer_row([c for _, _, c in columns])
+        self.cost = {col: c for col, c in enumerate(ints) if c}
 
         # Scale each row to integers over its own denominator, and
         # sign-normalize it so every rhs is nonnegative.
         self.flip: list[int] = []
         self.rels: list[str] = []
-        rows: list[list[int]] = []
-        rhs: list[int] = []
+        int_rows: list[list[int]] = []
         self.den: list[int] = []
-        for coeffs, rel, b in ext:
+        for coeffs, rel, b in rows:
             ints, den = _integer_row((*coeffs, b))
             flip = 1
             if b < 0:
                 flip = -1
                 rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
                 ints = [-v for v in ints]
-            rhs.append(ints.pop())
-            rows.append(ints)
+            int_rows.append(ints)
             self.den.append(den)
             self.flip.append(flip)
             self.rels.append(rel)
 
-        # Store each original variable's column once up to sign, with its
-        # first nonzero entry positive; a column equal to +1 or -1 times an
-        # earlier one reads that one's stored entries.
-        stored: dict[tuple[int, ...], int] = {}
-        var_map: list[tuple[int, int]] = []  # orig var -> (stored, sign)
-        zero = (0,) * len(rows)
-        for column in zip(*rows) if rows else [zero] * n:
-            sign = 1
-            if column < zero:  # the first nonzero entry is negative
-                sign = -1
-                # From a list: tuple() of a generator over-allocates and
-                # resizes, which leaves a tuple on the free lists each time.
-                column = tuple([-v for v in column])
-            var_map.append((stored.setdefault(column, len(stored)), sign))
-        self.nstored = nstored = len(stored)
-        columns = list(stored)
-        del stored, rows
-
-        m = len(rhs)
-        # Column layout: structurals | slack/surplus | artificials | rhs.
+        m = len(int_rows)
+        # Column layout: signed columns | slack/surplus | artificials | rhs.
         self.slack_col = [-1] * m
         self.art_col = [-1] * m
         width = ncols
@@ -261,11 +239,10 @@ class _Simplex:
                 width += 1
         self.width = width  # columns, excluding rhs slot
         self.artificials = {c for c in self.art_col if c >= 0}
-        shift = nstored - ncols
-        self.colmap = [(var_map[j][0], sign * var_map[j][1]) for j, sign in self.cols]
-        self.colmap += [(c + shift, 1) for c in range(ncols, width)]
+        shift = nvars - ncols
+        self.colmap = [*self.cols, *[(c + shift, 1) for c in range(ncols, width)]]
         # _logical reads logical slot j at gather[j] of a stored row that is
-        # followed by its negated structurals.
+        # followed by its negated variable entries.
         self.stored_width = width + shift + 1
         self.gather = [s if sign > 0 else self.stored_width + s for s, sign in self.colmap]
         self.gather.append(self.stored_width - 1)
@@ -274,9 +251,11 @@ class _Simplex:
         self.basis: list[int] = []
         self.row_id: list[int] = list(range(m))  # surviving row -> ext row index
         self.pivots = 0
-        for i, entries in enumerate(zip(*columns)):
+        for i, row in enumerate(int_rows):
             den = self.den[i]
-            row = [*entries, *[0] * (width - ncols), rhs[i]]
+            rhs = row.pop()
+            row += [0] * (width - ncols)
+            row.append(rhs)
             if self.slack_col[i] >= 0:
                 row[self.slack_col[i] + shift] = den if self.rels[i] == "<=" else -den
             if self.art_col[i] >= 0:
@@ -286,7 +265,7 @@ class _Simplex:
 
     def _logical(self, row: list[int]) -> list[int]:
         """A stored tableau row at the logical width."""
-        row = [*row, *map(neg, row[: self.nstored])]
+        row = [*row, *map(neg, row[: self.nvars])]
         return list(map(row.__getitem__, self.gather))
 
     # -- tableau mechanics ---------------------------------------------------
@@ -418,7 +397,7 @@ class _Simplex:
 
     def _to_original(self, internal: Sequence[Fraction]) -> tuple[Fraction, ...]:
         zero = Fraction(0)
-        x = [zero] * self.lp.num_vars
+        x = [zero] * self.nvars
         for col, (j, sign) in enumerate(self.cols):
             if internal[col]:
                 x[j] += sign * internal[col]
@@ -458,20 +437,28 @@ class _Simplex:
         )
 
     def _optimal_outcome(self) -> LpOutcome:
-        value = -Fraction(self.obj[-1], self.oden)
-        if self.lp.sense == "min":
-            value = -value
         return LpOutcome(
             status=LpStatus.OPTIMAL,
             primal=self._to_original(self._internal_point()),
-            objective_value=value,
+            objective_value=-Fraction(self.obj[-1], self.oden),
             certificate=self._duals(phase1=False),
         )
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; deterministic for identical input (fixed pivot rule)."""
-    return _Simplex(lp).solve()
+    ext = _extended_rows(lp)
+    ensure_within_cap(max(lp.num_vars, len(ext), 1), "lp dimensions")
+    # A free variable is a positive part and, right after it, a negative part.
+    columns: list[SignedColumn] = []
+    for j, c in enumerate(_max_objective(lp)):
+        columns.append((j, 1, c))
+        if lp.lower[j] is None:
+            columns.append((j, -1, -c))
+    out = _Simplex(ext, columns).solve()
+    if lp.sense == "min" and out.objective_value is not None:
+        out = replace(out, objective_value=-out.objective_value)
+    return out
 
 
 # -- independent certificate checking ------------------------------------------

@@ -88,7 +88,7 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     depth = grid_depth
     last_farkas = None
     for _ in range(5):
-        # Two variables per grid point: fail on the cap before building any.
+        # Two signed columns per grid point: fail on the cap before building any.
         ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
         thetas, columns = _grid_columns(P, depth)
         weights, out = _min_total_variation(P, columns)

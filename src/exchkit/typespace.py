@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,15 +52,17 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer string."""
+    """Parse ``"p/q"`` or a bare integer string; each side is an optional
+    ``-`` and then ASCII digits."""
     if not isinstance(text, str):
         raise InputError(f"expected a fraction string, got {type(text).__name__}")
+    num, slash, den = text.partition("/")
+    # int() alone would also read "1_0", "+1", " 1" and other scripts' digits.
+    if not re.fullmatch("-?[0-9]+", num) or slash and not re.fullmatch("-?[0-9]+", den):
+        raise InputError(f"bad fraction string: {text!r}")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError as exc:
         raise InputError(f"bad fraction string: {text!r}") from exc
 
 
@@ -113,10 +116,18 @@ class TypeVector(namedtuple("TypeVector", "counts")):
     A one-field named tuple: hashing, equality and ordering are the
     tuple's own, done in C, and the order is exactly the lexicographic
     order of the count tuples used throughout.  A type never equals its
-    bare count tuple, since ``((1, 2),) != (1, 2)``.
+    bare count tuple, since ``((1, 2),) != (1, 2)``.  The tuple's ``+``
+    and ``*`` raise ``TypeError`` (the sum of types is :meth:`add`), but
+    ``len(tv) == 1`` and ``tv == ((1, 2),)`` remain: they are the tuple's
+    own behaviour, in C.
     """
 
     __slots__ = ()
+
+    def _not_tuple_arithmetic(self, other):
+        raise TypeError("type: + and * would act on the tuple; use .add to sum types")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_tuple_arithmetic
 
     def __new__(cls, counts: Iterable[int]) -> "TypeVector":
         counts = tuple(counts)

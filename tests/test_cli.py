@@ -228,6 +228,14 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path, monkeypatch):
         (("invert", '{"alphabet": ["a", "b"], "type": "%s"}' % text, "--N", "10"),
          "bad typestring")
         for text in ("1_0:0", "+1:0", " 1:0", "\u0661:0")
+    ) + tuple(
+        # and each of these weights as a fraction
+        (("extend", '{"alphabet": ["a", "b"], "n": 2, "weights": '
+          '{"2:0": "%s", "0:2": "1/2"}}' % text, "--N", "3"), "bad fraction string")
+        for text in ("1_0/20", " +1/2", "\uff11/2", "1/ 2", "+1/2")
+    ) + (
+        # an option that no subcommand reads
+        (("corpus", "all", "--epsilon", "banana"), "--epsilon"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and reason in err and err.count("\n") == 1

@@ -168,3 +168,7 @@ def test_convergence_validation():
         coarse_convergence_check([], 1, [])
     with pytest.raises(InputError):
         coarse_convergence_check([1], 1, [Fraction(1)] * 3)  # wrong length
+    # each level is a dyadic-max law, which takes only these profiles
+    for profile in ([1, -1], [0, 1]):
+        with pytest.raises(InputError, match="dyadic_max_law: profile must be"):
+            coarse_convergence_check([1], 1, profile)

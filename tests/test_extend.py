@@ -28,7 +28,7 @@ from exchkit.measures import (
     product_law,
     urn_measure,
 )
-from exchkit.ratlp import solve
+from exchkit.ratlp import _Simplex
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, TypeVector, enumerate_types, multiset_count
 
@@ -100,13 +100,13 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
 
     solves = []
 
-    def counted(lp):
-        solves.append(lp)
-        return solve(lp)
+    def counted(rows, columns):
+        solves.append(columns)
+        return _Simplex(rows, columns)
 
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
     monkeypatch.setattr(extend, "staircase_mixture", lambda P: None)
-    monkeypatch.setattr(measures, "solve", counted)
+    monkeypatch.setattr(measures, "_Simplex", counted)
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
     report = check_extendible(P, 4)
     assert report.refutation is None and marginal_matches(report.witness, P)
@@ -158,11 +158,11 @@ def test_norm_takes_the_constructive_witness_first(monkeypatch):
 
     solves = []
 
-    def counted(lp):
-        solves.append(lp)
-        return solve(lp)
+    def counted(rows, columns):
+        solves.append(columns)
+        return _Simplex(rows, columns)
 
-    monkeypatch.setattr(measures, "solve", counted)
+    monkeypatch.setattr(measures, "_Simplex", counted)
     point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
     assert norm_EN(point, 30_000) == 1
     staircase = dyadic_max_law(1, [1, 1])[0]  # uniform product on two symbols
@@ -187,11 +187,11 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
 
     solves = []
 
-    def counted(lp):
-        solves.append(lp)
-        return solve(lp)
+    def counted(rows, columns):
+        solves.append(columns)
+        return _Simplex(rows, columns)
 
-    monkeypatch.setattr(measures, "solve", counted)
+    monkeypatch.setattr(measures, "_Simplex", counted)
     monkeypatch.setenv("EXCHKIT_CAP", "10")
     point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
     for N in (4, 5, 9):  # 5, 6 and 10 types

@@ -221,8 +221,8 @@ def test_oracle_agreement_mixed_denominators():
 
 
 def test_mirrored_columns_agree_with_oracle():
-    # columns equal to +1 or -1 times another share one stored tableau
-    # column; free variables are split into two such copies as well
+    # columns equal to +1 or -1 times another, and free variables, which
+    # the simplex declares as a +1 and a -1 column of one variable
     rng = random.Random(41)
 
     def coeff():
@@ -242,7 +242,6 @@ def test_mirrored_columns_agree_with_oracle():
         lp = LinearProgram.build(
             rng.choice(("max", "min")), [coeff() for _ in range(width)], constraints, free=free
         )
-        assert _Simplex(lp).nstored <= n
         out = solve(lp)
         assert verify(lp, out)
         status, value = solve_lp_by_enumeration(lp)
@@ -254,24 +253,27 @@ def test_mirrored_columns_agree_with_oracle():
 
 
 def test_norm_program_stores_each_urn_column_once(monkeypatch):
-    # {1:1:1 1/2, 3:0:0 1/2} at N=6: 28 urn columns, each with a negative
-    # part, over 10 equality rows (one artificial each) and the rhs
-    programs = []
+    # {1:1:1 1/2, 3:0:0 1/2} at N=6: 28 urn columns, each declared with a
+    # +1 and a -1 sign, over 10 equality rows (one artificial each) and the rhs
+    tableaus = []
 
-    def capture(lp):
-        programs.append(lp)
-        return solve(lp)
+    def capture(rows, columns):
+        tableau = _Simplex(rows, columns)
+        tableaus.append((columns, len(tableau.T), {len(row) for row in tableau.T}, tableau.width))
+        return tableau
 
-    monkeypatch.setattr(measures, "solve", capture)
+    monkeypatch.setattr(measures, "_Simplex", capture)
     law = ExchangeableLaw(
         Alphabet.of_size(3),
         3,
         {TypeVector((1, 1, 1)): Fraction(1, 2), TypeVector((3, 0, 0)): Fraction(1, 2)},
     )
     assert norm_EN(law, 6) > 1
-    (lp,) = programs
-    assert lp.num_vars == 2 * 28
-    tableau = _Simplex(lp)
-    assert len(tableau.T) == 10
-    assert all(len(row) == 28 + 10 + 1 for row in tableau.T)
-    assert tableau.width == 56 + 10
+    ((columns, nrows, row_widths, width),) = tableaus
+    assert [(v, sign) for v, sign, _ in columns] == [
+        *((v, 1) for v in range(28)),
+        *((v, -1) for v in range(28)),
+    ]
+    assert nrows == 10
+    assert row_widths == {28 + 10 + 1}
+    assert width == 56 + 10

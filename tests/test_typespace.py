@@ -152,10 +152,32 @@ def test_fraction_text_forms():
     assert format_fraction(Fraction(2)) == "2/1"
     assert parse_fraction("3/16") == Fraction(3, 16)
     assert parse_fraction("-5") == Fraction(-5)
+    assert parse_fraction("-3/4") == parse_fraction("3/-4") == Fraction(-3, 4)
+    assert parse_fraction("-0") == 0 and parse_fraction("007/014") == Fraction(1, 2)
     with pytest.raises(InputError):
         parse_fraction("1/0")
     with pytest.raises(InputError):
         parse_fraction("0.5")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0/20", " +1/2", "\uff11/2", "1/ 2", "+1", "1/2 ", "1/+2", "--1", "1/", "/2", "-", ""],
+)
+def test_fraction_takes_only_ascii_digits(text):
+    # each side is an optional "-" and ASCII digits; int() reads the first seven
+    with pytest.raises(InputError, match="bad fraction string"):
+        parse_fraction(text)
+
+
+def test_type_vector_has_no_tuple_arithmetic():
+    a, b = TypeVector((1, 0)), TypeVector((0, 1))
+    for op in (lambda: a + b, lambda: a + (1,), lambda: (1,) + a, lambda: a * 2, lambda: 2 * a):
+        with pytest.raises(TypeError, match=r"\.add"):
+            op()
+    assert a.add(b) == TypeVector((1, 1))
+    # the tuple's own length and equality, which run in C, remain
+    assert len(a) == 1 and a == ((1, 0),)
 
 
 def test_lexicographic_dataclass_order():
