@@ -4,7 +4,9 @@ Everything in this library is exact and in-core, so the only guard needed is
 a hard ceiling on how many objects (types, grid atoms, ordered urn draws,
 cell pairs, LP variables or rows) a single call may enumerate, and on how
 many simplex pivots one LP solve may take.  The default suits desk scale;
-the environment variable ``EXCHKIT_CAP`` overrides it per process.
+the environment variable ``EXCHKIT_CAP`` overrides it per process.  Its
+value is a positive integer in ASCII digits, read by the rule of
+:func:`~exchkit.typespace.parse_fraction`; anything else is an input error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 
 from .errors import CapacityError, InputError
+from .typespace import _parse_int
 
 DEFAULT_RESOURCE_CAP = 50_000
 
@@ -24,9 +27,9 @@ def resource_cap() -> int:
     if raw is None:
         return DEFAULT_RESOURCE_CAP
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_ENV_VAR}: not an integer: {raw!r}") from exc
+        cap = _parse_int(raw)
+    except InputError as exc:
+        raise InputError(f"{_ENV_VAR}: {exc}") from None
     if cap <= 0:
         raise InputError(f"{_ENV_VAR}: must be positive, got {cap}")
     return cap

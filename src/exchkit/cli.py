@@ -6,7 +6,10 @@ exit codes: a refutation is a successfully completed analysis.
 
 Exit status: 0 for any completed analysis, 1 for input/schema errors, 2 for
 resource-cap or grid-budget exhaustion, 3 for an internal invariant failure
-(a bug, reported as one ``error: internal: ...`` line, never as an answer).  ``--format json`` (the default)
+(a bug, reported as one ``error: internal: ...`` line, never as an answer),
+141 (128 + SIGPIPE) when standard output is closed before the report is
+written, with nothing on stderr.  Integer options take an optional ``-``
+and ASCII digits only.  ``--format json`` (the default)
 prints a stable, sorted JSON document; ``--format text`` prints an indented
 human view of the same data.  ``--seed`` is recorded in the report metadata;
 all shipped analyses are deterministic and consume no randomness.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -49,6 +53,7 @@ from .serialize import (
 )
 from .typespace import (
     TypeVector,
+    _parse_int,
     enumerate_types,
     format_fraction,
     parse_fraction,
@@ -64,10 +69,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int_option(text: str) -> int:
+    # argparse prefixes the option's name to this message.
+    try:
+        return _parse_int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="exchkit", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_option, default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("types", help="enumerate all types of a given mass")
@@ -75,38 +88,38 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("urn", help="law of N draws without replacement from an urn")
     p.add_argument("input")
-    p.add_argument("--N", type=int, required=True, help="number of draws")
+    p.add_argument("--N", type=_int_option, required=True, help="number of draws")
     p.add_argument("--brute-force", action="store_true")
 
     p = sub.add_parser("invert", help="expand a class law over mass-N urn measures")
     p.add_argument("input")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_option, required=True)
 
     p = sub.add_parser("norm", help="extending-functional norm of a law")
     p.add_argument("input")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_option, required=True)
     p.add_argument("--brute-force", action="store_true")
 
     p = sub.add_parser("extend", help="decide N-extendibility with certificate")
     p.add_argument("input")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_option, required=True)
 
     p = sub.add_parser("probe", help="probe infinite extendibility")
     p.add_argument("input")
-    p.add_argument("--max-N", type=int, required=True, dest="max_N")
-    p.add_argument("--grid-depth", type=int, default=4, dest="grid_depth")
+    p.add_argument("--max-N", type=_int_option, required=True, dest="max_N")
+    p.add_argument("--grid-depth", type=_int_option, default=4, dest="grid_depth")
 
     p = sub.add_parser("represent", help="signed mixture of grid product laws")
     p.add_argument("input")
-    p.add_argument("--grid-depth", type=int, default=4, dest="grid_depth")
+    p.add_argument("--grid-depth", type=_int_option, default=4, dest="grid_depth")
 
     p = sub.add_parser("corpus", help="built-in example laws with claims checks")
     p.add_argument("name", choices=("urn", "pairs", "dyadic-max", "all"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--ones", type=int, default=1)
-    p.add_argument("--max-N", type=int, default=None, dest="max_N")
-    p.add_argument("--grid-depth", type=int, default=8, dest="grid_depth")
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--n", type=_int_option, default=2)
+    p.add_argument("--ones", type=_int_option, default=1)
+    p.add_argument("--max-N", type=_int_option, default=None, dest="max_N")
+    p.add_argument("--grid-depth", type=_int_option, default=8, dest="grid_depth")
+    p.add_argument("--level", type=_int_option, default=1)
     p.add_argument("--profile", type=str, default=None,
                    help="comma-separated nonincreasing fractions")
     p.add_argument("--check-N", type=str, default="3,4", dest="check_N")
@@ -323,9 +336,9 @@ def _corpus_dyadic(level: int, profile_text: str | None, check_N: str) -> dict:
         except InputError as exc:
             raise InputError(f"--profile: {exc}") from None
     try:
-        targets = [int(part) for part in check_N.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"--check-N: expected comma-separated integers, got {check_N!r}")
+        targets = [_parse_int(part) for part in check_N.split(",")] if check_N else []
+    except InputError as exc:
+        raise InputError(f"--check-N: {exc}") from None
 
     law, mix = corpus_mod.dyadic_max_law(level, profile)
     nonnegative = all(w >= 0 for w, _ in mix.atoms)
@@ -411,7 +424,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print("\n".join(_render_text(report)))
+        # Flush here, so a closed pipe is caught below and not at exit.
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # The reader left: send what is still buffered to the null device,
+        # so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,9 +28,13 @@ nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
 matrix depends only on the larger symbol index).  The transport inverts
 each count pattern of ``P`` once: a type's table is its pattern's table
-relabelled onto its support.  Every fast-path witness is verified against
-the marginal identities before being trusted, and a verified one settles
-``norm_EN`` as well as ``check_extendible`` without a solve.
+relabelled onto its support.  The staircase witness is built straight from
+its steps: a type's weight is its multinomial times a tail sum picked by
+its largest symbol, so one walk over the mass-``N`` draws builds the
+length-``N`` law without summing the prefix atoms one by one.  Every
+fast-path witness is verified against the marginal identities before being
+trusted, and a verified one settles ``norm_EN`` as well as
+``check_extendible`` without a solve.
 """
 
 from __future__ import annotations
@@ -265,15 +269,10 @@ def _pair_matrix(P: ExchangeableLaw) -> list[list[Fraction]]:
     return m
 
 
-def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
-    """Exact product-mixture certificate for "staircase" pair laws.
-
-    Applies when ``P(X1=a, X2=b) == h(max(a, b))`` for a nonincreasing
-    nonnegative profile ``h`` over the symbol positions.  Such a law is the
-    mixture of uniform product laws on the prefixes, with telescoping
-    weights ``(h(r) - h(r+1)) * r^2``; the peeling is exact and the weights
-    are nonnegative precisely because ``h`` is nonincreasing.
-    """
+def _staircase_steps(P: ExchangeableLaw) -> Optional[list[tuple[int, Fraction]]]:
+    """The steps ``(r, w_r)`` of a staircase pair law, ``r`` increasing:
+    ``w_r > 0`` weights the uniform product law on the first ``r`` symbols.
+    None when ``P`` is not a staircase."""
     if P.n != 2:
         return None
     k = P.alphabet.size
@@ -285,16 +284,78 @@ def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
             return None
     if any(profile[r] < profile[r + 1] for r in range(k - 1)) or profile[-1] < 0:
         return None
-    atoms: list[Atom] = []
-    zero = Fraction(0)
+    steps: list[tuple[int, Fraction]] = []
     for r in range(1, k + 1):
-        nxt = profile[r] if r < k else zero
+        nxt = profile[r] if r < k else 0
         weight = (profile[r - 1] - nxt) * r * r
         if weight:
-            atoms.append((weight, (Fraction(1, r),) * r + (zero,) * (k - r)))
-    if sum((w for w, _ in atoms), Fraction(0)) != 1:
+            steps.append((r, weight))
+    if sum((w for _, w in steps), Fraction(0)) != 1:
         return None
-    return tuple(atoms)
+    return steps
+
+
+def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
+    """Exact product-mixture certificate for "staircase" pair laws.
+
+    Applies when ``P(X1=a, X2=b) == h(max(a, b))`` for a nonincreasing
+    nonnegative profile ``h`` over the symbol positions.  Such a law is the
+    mixture of uniform product laws on the prefixes, with telescoping
+    weights ``(h(r) - h(r+1)) * r^2``; the peeling is exact and the weights
+    are nonnegative precisely because ``h`` is nonincreasing.
+    """
+    steps = _staircase_steps(P)
+    if steps is None:
+        return None
+    k = P.alphabet.size
+    zero = Fraction(0)
+    return tuple((w, (Fraction(1, r),) * r + (zero,) * (k - r)) for r, w in steps)
+
+
+def _staircase_type_weights(
+    steps: Sequence[tuple[int, Fraction]], N: int, k: int
+) -> dict[TypeVector, Fraction]:
+    """Type weights of the staircase mixture at length ``N``: equal, entry
+    for entry and in order, to ``_mixture_type_weights`` of its atoms.
+
+    The atom uniform on the first ``r`` symbols gives ``nu`` the weight
+    ``w_r * multinomial(nu) / r**N`` when every symbol of ``nu`` is below
+    ``r``, so ``nu`` weighs ``multinomial(nu) * tail[max supp nu]`` with
+    ``tail[m] = sum_{r > m} w_r / r**N``, kept as integers over one common
+    denominator.  One walk over the mass-``N`` draws of the symbols below
+    the last step builds every entry: a draw's last element is its largest
+    symbol, and the draws come in decreasing order of their count tuples.
+    """
+    ensure_within_cap(type_count(k, N), "mass-N type space")
+    top = steps[-1][0]
+    denominator = math.lcm(*(w.denominator * r**N for r, w in steps))
+    tail = [0] * top
+    for r, w in steps:
+        share = w.numerator * (denominator // (w.denominator * r**N))
+        for m in range(r):
+            tail[m] += share
+    types: list[TypeVector] = []
+    values: list[Fraction] = []
+    shared: dict[int, Fraction] = {}
+    counts = [0] * k
+    for draw in itertools.combinations_with_replacement(range(top), N):
+        # the multinomial i! / prod(c!), kept exact as the draw grows
+        ways = 1
+        for i, pos in enumerate(draw, 1):
+            c = counts[pos] + 1
+            counts[pos] = c
+            ways = ways * i // c
+        v = ways * tail[draw[-1]]
+        q = shared.get(v)
+        if q is None:
+            q = shared[v] = Fraction(v, denominator)
+        types.append(_make_type(tuple(counts)))
+        values.append(q)
+        for pos in draw:
+            counts[pos] = 0
+    types.reverse()
+    values.reverse()
+    return dict(zip(types, values))
 
 
 def mixture_extension(
@@ -320,13 +381,21 @@ def _verify_witness(witness: ExchangeableLaw, P: ExchangeableLaw) -> None:
 def _constructive_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
     """The transport if it is nonnegative, else the staircase mixture at
     length ``N``, verified against the marginal identities; None when
-    neither applies.  Never solves a program."""
+    neither applies.  Never solves a program.
+
+    The staircase witness is built from its steps in one walk over the
+    mass-``N`` draws (see :func:`_staircase_type_weights`), not through
+    :func:`mixture_extension`, which would walk every prefix atom
+    separately.  Checking it with :func:`marginal_matches` costs more
+    than building it."""
     witness = _transport_witness(P, N)
     if witness is None:
-        atoms = staircase_mixture(P)
-        if atoms is None:
+        steps = _staircase_steps(P)
+        if steps is None:
             return None
-        witness = mixture_extension(atoms, N, P.alphabet)
+        witness = ExchangeableLaw(
+            P.alphabet, N, _staircase_type_weights(steps, N, P.alphabet.size)
+        )
     _verify_witness(witness, P)
     return witness
 

@@ -51,19 +51,31 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# An optional "-" and then ASCII digits.  int() alone would also read "1_0",
+# "+1", " 1" and other scripts' digits.
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer string; each side is an optional
     ``-`` and then ASCII digits."""
     if not isinstance(text, str):
         raise InputError(f"expected a fraction string, got {type(text).__name__}")
     num, slash, den = text.partition("/")
-    # int() alone would also read "1_0", "+1", " 1" and other scripts' digits.
-    if not re.fullmatch("-?[0-9]+", num) or slash and not re.fullmatch("-?[0-9]+", den):
+    if not _INTEGER.fullmatch(num) or slash and not _INTEGER.fullmatch(den):
         raise InputError(f"bad fraction string: {text!r}")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except ZeroDivisionError as exc:
         raise InputError(f"bad fraction string: {text!r}") from exc
+
+
+def _parse_int(text: str) -> int:
+    """Parse an integer string by the rule of :func:`parse_fraction`'s
+    sides: an optional ``-`` and then ASCII digits, nothing else."""
+    if not _INTEGER.fullmatch(text):
+        raise InputError(f"bad integer string: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

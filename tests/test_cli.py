@@ -233,12 +233,28 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path, monkeypatch):
         (("extend", '{"alphabet": ["a", "b"], "n": 2, "weights": '
           '{"2:0": "%s", "0:2": "1/2"}}' % text, "--N", "3"), "bad fraction string")
         for text in ("1_0/20", " +1/2", "\uff11/2", "1/ 2", "+1/2")
+    ) + tuple(
+        # and each of these as an integer option
+        (("extend", URN_LAW, "--N", text), "argument --N: bad integer string")
+        for text in (" +1_0", "1_0", "+3", " 3", "3\n", "\u0663", "")
     ) + (
+        (("--seed", "+7", "norm", URN_LAW, "--N", "2"), "argument --seed"),
+        (("probe", URN_LAW, "--max-N", "4", "--grid-depth", "0x2"), "argument --grid-depth"),
+        (("corpus", "dyadic-max", "--level", "\uff11"), "argument --level"),
+        (("corpus", "dyadic-max", "--check-N", "1_0,+3"), "--check-N: bad integer string"),
+        (("corpus", "dyadic-max", "--check-N", "3, 4"), "--check-N: bad integer string"),
+        (("corpus", "dyadic-max", "--check-N", "3,,4"), "--check-N: bad integer string"),
         # an option that no subcommand reads
         (("corpus", "all", "--epsilon", "banana"), "--epsilon"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and reason in err and err.count("\n") == 1
+
+    # the cap variable is read by the same rule
+    for raw in (" 5_0 ", "+50", "\u0665\u0660"):
+        monkeypatch.setenv("EXCHKIT_CAP", raw)
+        code, out, err = run_cli(capsys, "extend", URN_LAW, "--N", "3")
+        assert code == 1 and out == "" and err.startswith("error: EXCHKIT_CAP: bad integer")
 
 
 def test_exit_code_2_on_capacity(capsys, monkeypatch):
@@ -281,15 +297,34 @@ def test_seed_recorded_in_meta(capsys):
     assert json.loads(out)["meta"]["seed"] == 7
 
 
-def test_console_entrypoint_via_module():
+def _module_env():
     # the child must import the same package as this process, installed or not
     src = str(Path(exchkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entrypoint_via_module():
     proc = subprocess.run(
         [sys.executable, "-m", "exchkit", "types", '{"alphabet": ["a","b"], "mass": 2}'],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["types"] == ["0:2", "1:1", "2:0"]
+
+
+def test_closed_pipe_exits_141_quietly():
+    # 45,451 types, about 1 MB of report: more than a pipe buffer holds, so
+    # the child is still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exchkit", "types", '{"alphabet": ["a","b","c"], "mass": 300}'],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_module_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141 and err == b""

@@ -11,6 +11,8 @@ from exchkit.errors import CapacityError, InputError
 from exchkit.extend import (
     InfiniteOutcome,
     Verdict,
+    _staircase_steps,
+    _staircase_type_weights,
     _transport_witness,
     check_extendible,
     corollary_criterion,
@@ -105,7 +107,7 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
         return _Simplex(rows, columns)
 
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
-    monkeypatch.setattr(extend, "staircase_mixture", lambda P: None)
+    monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
     monkeypatch.setattr(measures, "_Simplex", counted)
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
     report = check_extendible(P, 4)
@@ -238,6 +240,51 @@ def test_staircase_mixture_detection():
     assert staircase_mixture(URN) is None
     witness = mixture_extension(atoms, 5, law.alphabet)
     assert marginal_matches(witness, law)
+
+
+def _staircase_law(profile):
+    """The pair law with P(X1=a, X2=b) proportional to profile[max(a, b)]."""
+    k = len(profile)
+    total = sum((2 * r + 1) * h for r, h in enumerate(profile))
+    weights = {}
+    for r, h in enumerate(profile):
+        weights[T(tuple(2 * (i == r) for i in range(k)))] = Fraction(h, total)
+        for i in range(r):
+            weights[T(tuple(int(j in (i, r)) for j in range(k)))] = Fraction(2 * h, total)
+    return ExchangeableLaw(Alphabet.of_size(k), 2, weights)
+
+
+def test_staircase_witness_equals_mixture_extension():
+    # the one-walk builder against the atom-by-atom evaluator, order included
+    rng = random.Random(59)
+    profiles = [[3, 3, 1, 0, 0], [1], [2, 2, 2, 2, 2, 2], [5, 0]]
+    for _ in range(30):
+        k = rng.randint(1, 6)
+        profile = sorted((rng.randint(0, 4) for _ in range(k)), reverse=True)
+        if profile[0]:
+            profiles.append(profile)
+    tied = ended = 0
+    for profile in profiles:
+        law = _staircase_law(profile)
+        steps = _staircase_steps(law)
+        atoms = staircase_mixture(law)
+        assert [w for _, w in steps] == [w for w, _ in atoms]
+        tied += any(a == b for a, b in zip(profile, profile[1:]) if a)
+        ended += profile[-1] == 0
+        for N in range(2, 7):
+            built = _staircase_type_weights(steps, N, len(profile))
+            expected = mixture_extension(atoms, N, law.alphabet)
+            assert list(built.items()) == list(expected.weights.items())
+            assert marginal_matches(ExchangeableLaw(law.alphabet, N, built), law)
+    assert tied and ended
+
+
+def test_staircase_witness_respects_cap(monkeypatch):
+    steps = _staircase_steps(_staircase_law([1, 1]))
+    monkeypatch.setenv("EXCHKIT_CAP", "4")
+    with pytest.raises(CapacityError, match="mass-N type space"):
+        _staircase_type_weights(steps, 4, 2)  # 5 mass-4 types over 2 symbols
+    assert len(_staircase_type_weights(steps, 3, 2)) == 4
 
 
 def _witness_with_denominators(rng, k, N, denominators):
