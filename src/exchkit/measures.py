@@ -72,7 +72,8 @@ class ExchangeableLaw:
 
     ``weights[mu]`` is the TOTAL probability of the type class of ``mu``;
     zero-weight classes are dropped, so equality of laws is equality of the
-    stored maps.  Weights must be nonnegative rationals summing to one.
+    stored maps.  Weights must be nonnegative rationals summing to one,
+    and ``n`` an ``int`` (not a ``bool``) of at least 1.
     """
 
     alphabet: Alphabet
@@ -80,31 +81,46 @@ class ExchangeableLaw:
     weights: WeightMap
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("law: n must be a positive integer")
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"law: n must be a positive integer, got {n!r}")
         k = self.alphabet.size
-        kept: list[tuple[TypeVector, Fraction]] = []
+        kept: dict[TypeVector, Fraction] = {}
+        # The exact sum runs over the common denominator seen so far.
+        common, total = 1, 0
+        last: tuple = ()  # the empty tuple sorts below every type
+        ordered = True
         for tv, w in self.weights.items():
             if not isinstance(tv, TypeVector):
                 raise InputError(f"law: weights keyed by TypeVector, got {tv!r}")
-            if tv.width != k:
+            counts = tv.counts
+            if len(counts) != k:
                 raise InputError(f"law: type {tv.typestring()} has wrong width for k={k}")
-            if tv.mass != self.n:
+            if sum(counts) != n:
                 raise InputError(
-                    f"law: type {tv.typestring()} has mass {tv.mass}, expected {self.n}"
+                    f"law: type {tv.typestring()} has mass {sum(counts)}, expected {n}"
                 )
-            w = as_fraction(w)
-            if w.numerator < 0:
+            if not isinstance(w, Fraction):
+                w = as_fraction(w)
+            num = w.numerator
+            if num < 0:
                 raise InputError(f"law: negative weight at {tv.typestring()}")
-            if w.numerator:
-                kept.append((tv, w))
-        # One exact integer sum over the common denominator of the weights.
-        common = math.lcm(*(w.denominator for _, w in kept))
-        total = sum(w.numerator * (common // w.denominator) for _, w in kept)
+            if num:
+                den = w.denominator
+                if common % den:
+                    grown = math.lcm(common, den)
+                    total *= grown // common
+                    common = grown
+                total += num * (common // den)
+                if tv < last:
+                    ordered = False
+                last = tv
+                kept[tv] = w
         if total != common:
             raise InputError(f"law: weights must sum to 1, got {Fraction(total, common)}")
-        kept.sort()
-        object.__setattr__(self, "weights", MappingProxyType(dict(kept)))
+        if not ordered:
+            kept = dict(sorted(kept.items()))
+        object.__setattr__(self, "weights", MappingProxyType(kept))
 
     def weight(self, tv: TypeVector) -> Fraction:
         return self.weights.get(tv, Fraction(0))

@@ -41,10 +41,11 @@ class SymmetricFunction:
     values: Mapping[TypeVector, Fraction]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError("function: m must be a positive integer")
+        m = self.m
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise InputError(f"function: m must be a positive integer, got {m!r}")
         k = self.alphabet.size
-        full = enumerate_types(k, self.m)
+        full = enumerate_types(k, m)
         clean: dict[TypeVector, Fraction] = {}
         for tv in full:
             if tv not in self.values:

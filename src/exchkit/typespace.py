@@ -228,8 +228,8 @@ def enumerate_types(alphabet: Alphabet | int, mass: int) -> list[TypeVector]:
     k = alphabet if isinstance(alphabet, int) else alphabet.size
     if k < 1:
         raise InputError("enumerate_types: alphabet must have k >= 1")
-    if mass < 0:
-        raise InputError("enumerate_types: mass must be >= 0")
+    if not isinstance(mass, int) or mass < 0:
+        raise InputError(f"enumerate_types: mass must be an integer >= 0, got {mass!r}")
     return [_make_type(c) for c in _compositions(mass, k)]
 
 

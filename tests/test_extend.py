@@ -28,6 +28,7 @@ from exchkit.measures import (
     invert_urn,
     marginalize,
     product_law,
+    urn_coefficient,
     urn_measure,
 )
 from exchkit.ratlp import _Simplex
@@ -338,6 +339,107 @@ def test_marginal_matches_rejects_moved_mass():
         moved[kappa] += Fraction(1, D)
         forged = ExchangeableLaw(witness.alphabet, 4, moved)  # still sums to 1
         assert not marginal_matches(forged, P)
+
+
+def _sparse_witness(rng, k, N):
+    """A few random mass-N types over k symbols, each on a small support."""
+    raw = {}
+    for _ in range(rng.randint(1, 6)):
+        support = rng.sample(range(k), rng.randint(1, min(k, N)))
+        counts = [0] * k
+        for i in support:
+            counts[i] = 1
+        for _ in range(N - len(support)):
+            counts[rng.choice(support)] += 1
+        raw[T(tuple(counts))] = Fraction(rng.randint(1, 9), rng.choice((1, 7, 11)))
+    total = sum(raw.values())
+    return ExchangeableLaw(Alphabet.of_size(k), N, {tv: w / total for tv, w in raw.items()})
+
+
+def _brute_marginal(witness, n):
+    """The mass-n marginal of a witness from urn_coefficient alone."""
+    return ExchangeableLaw(witness.alphabet, n, {
+        mu: sum(w * urn_coefficient(nu, mu) for nu, w in witness.weights.items())
+        for mu in enumerate_types(witness.alphabet.size, n)
+    })
+
+
+def test_marginal_matches_agrees_with_urn_coefficients():
+    rng = random.Random(61)
+    rejected = 0
+    for _ in range(80):
+        k, N = rng.randint(1, 7), rng.randint(1, 5)
+        witness = _sparse_witness(rng, k, N)
+        for n in range(1, min(N, 3) + 1):
+            P = _brute_marginal(witness, n)
+            assert marginal_matches(witness, P)
+            # half of one marginal weight moved to another mass-n type
+            mus = enumerate_types(k, n)
+            if len(mus) > 1:
+                src = rng.choice(list(P.weights))
+                dst = rng.choice([mu for mu in mus if mu != src])
+                moved = dict(P.weights)
+                moved[src] /= 2
+                moved[dst] = moved.get(dst, 0) + moved[src]
+                assert not marginal_matches(witness, ExchangeableLaw(P.alphabet, n, moved))
+                rejected += 1
+            other = _sparse_witness(rng, k, N)
+            same = dict(_brute_marginal(other, n).weights) == dict(P.weights)
+            assert marginal_matches(other, P) == same
+    assert rejected > 100
+
+
+def test_marginal_matches_tells_apart_supports_of_one_pattern():
+    # each pair shares a count pattern (and so a table) but not its symbols
+    alphabet = Alphabet.of_size(5)
+    pairs = [
+        ("2:1:0:0:0", "0:0:0:2:1"),
+        ("2:1:0:0:0", "0:2:1:0:0"),
+        ("1:0:2:0:0", "0:1:0:0:2"),
+        ("1:1:1:0:0", "0:0:1:1:1"),
+        ("3:0:0:0:0", "0:0:0:0:3"),
+    ]
+    for a, b in pairs:
+        nu, kappa = T.from_typestring(a), T.from_typestring(b)
+        third = Fraction(1, 3)
+        witness = ExchangeableLaw(alphabet, 3, {nu: third, kappa: third, T((1, 0, 1, 0, 1)): third})
+        for n in (1, 2):
+            P = _brute_marginal(witness, n)
+            assert marginal_matches(witness, P)
+            for D in (6, 2**70):
+                forged = dict(witness.weights)
+                forged[nu] -= Fraction(1, D)
+                forged[kappa] += Fraction(1, D)
+                assert not marginal_matches(ExchangeableLaw(alphabet, 3, forged), P)
+
+
+def test_marginal_matches_reads_no_fast_path(monkeypatch):
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    transported = _transport_witness(P, 4)
+    assert transported is not None
+    law = _staircase_law([3, 3, 1, 0])
+    built = _staircase_type_weights(_staircase_steps(law), 4, 4)
+    staircase = ExchangeableLaw(law.alphabet, 4, built)
+    (nu, _), (kappa, _) = list(built.items())[:2]
+    assert urn_measure(nu, 2) != urn_measure(kappa, 2)
+    forged = dict(built)
+    forged[nu] -= Fraction(1, 2**40)
+    forged[kappa] += Fraction(1, 2**40)
+    forged = ExchangeableLaw(law.alphabet, 4, forged)
+
+    def unavailable(*args):
+        raise AssertionError("marginal_matches read a fast path")
+
+    monkeypatch.setattr(measures, "_urn_column", unavailable)
+    monkeypatch.setattr(extend, "_urn_column", unavailable)
+    monkeypatch.setattr(extend, "_staircase_steps", unavailable)
+    monkeypatch.setattr(extend, "_transport_witness", unavailable)
+    assert marginal_matches(transported, P)
+    assert marginal_matches(staircase, law)
+    assert not marginal_matches(forged, law)
 
 
 def test_marginal_matches_rejects_incompatible_shapes():

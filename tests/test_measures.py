@@ -244,23 +244,52 @@ def test_product_law_rejects_non_distribution():
 
 def test_law_validation():
     alphabet = Alphabet(("a", "b"))
-    with pytest.raises(InputError):
-        ExchangeableLaw(alphabet, 2, {T((1, 1)): Fraction(1, 2)})  # sums to 1/2
-    with pytest.raises(InputError):
-        ExchangeableLaw(alphabet, 2, {T((1, 1, 0)): Fraction(1)})  # wrong width
-    with pytest.raises(InputError):
-        ExchangeableLaw(alphabet, 2, {T((1, 0)): Fraction(1)})  # wrong mass
-    with pytest.raises(InputError):  # sums to 1 - 2**-70
+    with pytest.raises(InputError, match="weights keyed by TypeVector, got \\(1, 1\\)"):
+        ExchangeableLaw(alphabet, 2, {(1, 1): Fraction(1)})
+    with pytest.raises(InputError, match="type 1:1:0 has wrong width for k=2"):
+        ExchangeableLaw(alphabet, 2, {T((1, 1, 0)): Fraction(1)})
+    with pytest.raises(InputError, match="type 1:0 has mass 1, expected 2"):
+        ExchangeableLaw(alphabet, 2, {T((1, 0)): Fraction(1)})
+    with pytest.raises(InputError, match="negative weight at 2:0"):  # sums to 1
+        ExchangeableLaw(alphabet, 2, {T((1, 1)): Fraction(3, 2), T((2, 0)): Fraction(-1, 2)})
+    with pytest.raises(InputError, match="weights must sum to 1, got 1/2$"):
+        ExchangeableLaw(alphabet, 2, {T((1, 1)): Fraction(1, 2)})
+    with pytest.raises(InputError, match=f"sum to 1, got {2**70 - 1}/{2**70}$"):
         ExchangeableLaw(
             alphabet, 2, {T((1, 1)): Fraction(1, 2), T((2, 0)): Fraction(1, 2) - Fraction(1, 2**70)}
         )
-    with pytest.raises(InputError):  # sums to 1 with a negative weight
-        ExchangeableLaw(alphabet, 2, {T((1, 1)): Fraction(3, 2), T((2, 0)): Fraction(-1, 2)})
+    with pytest.raises(InputError, match="expected an exact rational, got float"):
+        ExchangeableLaw(alphabet, 2, {T((1, 1)): 0.5, T((2, 0)): Fraction(1, 2)})
     law = ExchangeableLaw(
         alphabet, 2, {T((1, 1)): Fraction(1), T((2, 0)): Fraction(0)}
     )
     assert T((2, 0)) not in law.weights  # zeros dropped
     assert law.point_probability(T((1, 1))) == Fraction(1, 2)
+
+
+def test_law_weights_are_coerced_and_sorted():
+    alphabet = Alphabet(("a", "b"))
+    law = ExchangeableLaw(alphabet, 2, {T((1, 1)): 1})
+    assert type(law.weights[T((1, 1))]) is Fraction and law.weights[T((1, 1))] == 1
+    third = Fraction(1, 3)
+    shuffled = {T((0, 2)): third, T((2, 0)): third, T((1, 1)): third}
+    law = ExchangeableLaw(alphabet, 2, shuffled)
+    assert list(law.weights) == [T((0, 2)), T((1, 1)), T((2, 0))]
+    assert law.weights == shuffled
+    # zeros dropped from ordered input, the rest in their order
+    half = Fraction(1, 2)
+    ordered = {T((0, 0, 2)): half, T((0, 1, 1)): 0, T((1, 0, 1)): half, T((2, 0, 0)): Fraction(0)}
+    law = ExchangeableLaw(Alphabet.of_size(3), 2, ordered)
+    assert list(law.weights.items()) == [(T((0, 0, 2)), half), (T((1, 0, 1)), half)]
+
+
+def test_law_n_must_be_a_positive_int():
+    alphabet = Alphabet.of_size(2)
+    for n in (2.0, True, 0, "2"):
+        with pytest.raises(InputError, match="law: n must be a positive integer"):
+            ExchangeableLaw(alphabet, n, {T((1, 1)): Fraction(1)})
+    with pytest.raises(InputError, match="got True"):
+        ExchangeableLaw(alphabet, True, {T((1, 0)): Fraction(1)})  # not read as n=1
 
 
 def test_simplex_grid():

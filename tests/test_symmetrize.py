@@ -135,6 +135,14 @@ def test_sparse_construction_and_totality():
         SymmetricFunction.from_values(AB, 2, {T((1, 1, 1)): Fraction(1)})
 
 
+def test_m_must_be_a_positive_int():
+    for m in (2.0, True, 0):
+        with pytest.raises(InputError, match="function: m must be a positive integer"):
+            SymmetricFunction(AB, m, {T((1, 1)): Fraction(1)})
+    with pytest.raises(InputError):
+        SymmetricFunction.from_values(AB, 2.0, {})
+
+
 def test_apply_U_respects_cap(monkeypatch):
     g = SymmetricFunction.from_values(Alphabet(("a", "b", "c")), 1, {T((1, 0, 0)): Fraction(1)})
     monkeypatch.setenv("EXCHKIT_CAP", "5")
