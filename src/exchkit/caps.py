@@ -35,8 +35,10 @@ def resource_cap() -> int:
     return cap
 
 
-def ensure_within_cap(size: int, what: str) -> None:
-    """Raise :class:`CapacityError` if ``size`` exceeds the active cap."""
-    cap = resource_cap()
+def ensure_within_cap(size: int, what: str, cap: int | None = None) -> None:
+    """Raise :class:`CapacityError` if ``size`` exceeds ``cap``, by default
+    the active cap; a loop that checks often reads the cap once and passes it."""
+    if cap is None:
+        cap = resource_cap()
     if size > cap:
         raise CapacityError(f"{what}: size {size} exceeds resource cap {cap}")

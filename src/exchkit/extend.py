@@ -19,21 +19,24 @@ One linear program answers the whole question: the minimum total variation
 of a signed combination of mass-``N`` urn measures reproducing ``P`` (rows:
 the marginal identities; one signed weight per urn).  Its optimum is the
 norm.  At norm 1 the weights are the witness, since urn columns sum to 1
-and so leave no room for a negative weight.  Above 1 the negated row duals are the optimal refutation: a
-symmetric ``g`` with ``sup |U g| = 1`` and ``E_P g`` equal to the norm.
+and so leave no room for a negative weight.  Above 1 the negated row duals
+are the optimal refutation: a symmetric ``g`` with ``sup |U g| = 1`` and
+``E_P g`` equal to the norm.
 
 Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
 nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
-matrix depends only on the larger symbol index).  The transport inverts
-each count pattern of ``P`` once: a type's table is its pattern's table
-relabelled onto its support.  The staircase witness is built straight from
-its steps: a type's weight is its multinomial times a tail sum picked by
-its largest symbol, so one walk over the mass-``N`` draws builds the
-length-``N`` law without summing the prefix atoms one by one.  Every
-fast-path witness is verified against the marginal identities before being
-trusted, and a verified one settles ``norm_EN`` as well as
+matrix depends only on the larger symbol index).  A type's inversion table
+is its count pattern's table relabelled onto its support.  Each pattern's
+table is inverted once per process and ``N`` and cached as integers over
+one common denominator; the transport sums in integers and refuses a
+signed result before it builds any ``Fraction``.  The staircase witness is
+built straight from its steps: a type's weight is its multinomial times a
+tail sum picked by its largest symbol, so one walk over the mass-``N``
+draws builds the length-``N`` law without summing the prefix atoms one by
+one.  Every fast-path witness is verified against the marginal identities
+before being trusted, and a verified one settles ``norm_EN`` as well as
 ``check_extendible`` without a solve.
 """
 
@@ -55,8 +58,9 @@ from .measures import (
     _grid_columns,
     _min_total_variation,
     _mixture_type_weights,
+    _pattern_table,
+    _type_weights,
     _urn_column,
-    invert_urn,
     marginalize,
 )
 from .ratlp import LpOutcome
@@ -67,6 +71,7 @@ from .typespace import (
     TypeVector,
     _compositions,
     _make_type,
+    _require_int,
     as_fraction,
     enumerate_types,
     type_count,
@@ -127,8 +132,8 @@ class CovarianceBound(NamedTuple):
 # -- shared pieces ---------------------------------------------------------------
 
 
-def _check_target(P: ExchangeableLaw, N: int) -> None:
-    if N < P.n:
+def _check_target(P: ExchangeableLaw, N: int, caller: str) -> None:
+    if _require_int(N, f"{caller}: N") < P.n:
         raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
     ensure_within_cap(type_count(P.alphabet.size, N), "mass-N type space")
 
@@ -229,7 +234,7 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
     the cap, so a law the transport settles has a norm at any ``N``
     whose mass-``N`` types are within the cap.
     """
-    _check_target(P, N)
+    _check_target(P, N, "norm_EN")
     if _constructive_witness(P, N) is not None:
         return Fraction(1)
     return _norm_program(P, N)[2].objective_value
@@ -238,20 +243,20 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
 # -- constructive fast paths -------------------------------------------------------
 
 
-def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
-    """Push ``P`` through the triangular inversion tables.
-
-    The result always satisfies the marginal identities but may be signed;
-    it is a witness exactly when it lands in the nonnegative orthant.
+def _transport(P: ExchangeableLaw, N: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """Push ``P`` through the triangular inversion tables: the signed
+    mass-``N`` weights as integer numerators keyed by count tuple, and
+    their common denominator.  They satisfy the marginal identities.
 
     A type's table is its count pattern's table relabelled (see
-    :func:`~exchkit.measures.invert_urn`), so each distinct pattern is
-    inverted once, on the canonical type whose counts are the pattern,
-    and its anchors are placed onto each type's ordered support.
+    :func:`~exchkit.measures.invert_urn`): the cached integer table of
+    :func:`~exchkit.measures._pattern_table`, whose anchors are placed
+    onto each type's support in ascending count, then position.  Each
+    (type, entry) product is an integer over ``T = lcm(w.den * table den)``.
     """
-    k = P.alphabet.size
-    tables: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
-    t: dict[TypeVector, Fraction] = {}
+    n, k = P.n, P.alphabet.size
+    tables: dict[tuple[int, ...], tuple[int, tuple]] = {}
+    placed = []
     for mu, w in P.weights.items():
         counts = mu.counts
         # The support order of _anchored_types: ascending count, then position.
@@ -259,17 +264,32 @@ def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
         pattern = tuple([counts[i] for i in sup])
         table = tables.get(pattern)
         if table is None:
-            coeffs = invert_urn(_make_type(pattern), N).coeffs
-            table = tables[pattern] = [(local.counts, c) for local, c in coeffs.items()]
+            # invert_urn checks this cap only when the cached table is missing.
+            ensure_within_cap(type_count(len(pattern), n), "urn inversion types")
+            table = tables[pattern] = _pattern_table(pattern, N)
+        placed.append((sup, w, table))
+    denominator = math.lcm(*(w.denominator * den for _, w, (den, _) in placed))
+    acc: dict[tuple[int, ...], int] = {}
+    for sup, w, (den, entries) in placed:
+        scale = w.numerator * (denominator // (w.denominator * den))
         out = [0] * k
-        for local, c in table:
+        for local, c in entries:
             for i, m in zip(sup, local):
                 out[i] = m
-            nu = _make_type(tuple(out))
-            t[nu] = t.get(nu, Fraction(0)) + w * c
-    if any(v < 0 for v in t.values()):
+            key = tuple(out)
+            acc[key] = acc.get(key, 0) + scale * c
+    return acc, denominator
+
+
+def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
+    """The transport of ``P`` (see :func:`_transport`) as a law, when it
+    lands in the nonnegative orthant; otherwise None, decided on the
+    integer numerators before any ``Fraction`` is built.  Each distinct
+    numerator becomes one ``Fraction``, the types in sorted order."""
+    acc, denominator = _transport(P, N)
+    if any(v < 0 for v in acc.values()):
         return None
-    return ExchangeableLaw(P.alphabet, N, t)
+    return ExchangeableLaw(P.alphabet, N, _type_weights(acc, denominator))
 
 
 def _pair_matrix(P: ExchangeableLaw) -> list[list[Fraction]]:
@@ -385,6 +405,7 @@ def mixture_extension(
     :func:`~exchkit.measures._mixture_type_weights`); every weight of the
     returned law is still a ``Fraction``.
     """
+    _require_int(N, "mixture_extension: N")
     ensure_within_cap(type_count(alphabet.size, N), "mass-N type space")
     if any(w < 0 for w, _ in atoms):
         raise InputError("mixture_extension: weights must be nonnegative")
@@ -449,7 +470,7 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     only route that stays cheap, and once those types are more than half
     the resource cap, the only one that runs at all.
     """
-    _check_target(P, N)
+    _check_target(P, N, "check_extendible")
     witness = _constructive_witness(P, N)
     if witness is None:
         nus, weights, out = _norm_program(P, N)
@@ -475,7 +496,7 @@ def corollary_criterion(
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise InputError("corollary_criterion: epsilon must be positive")
-    if N < P.n:
+    if _require_int(N, "corollary_criterion: N") < P.n:
         raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
     return abs(expectation(P, g)) <= (1 + eps) * sup_norm(apply_U(g, N))
 
@@ -505,9 +526,9 @@ def probe_infinite(
     grid-free), then the grid LP at ``grid_depth`` and once more at double
     depth.  Grid infeasibility proves nothing, hence UNKNOWN.
     """
-    if N_max < P.n:
+    if _require_int(N_max, "probe_infinite: N_max") < P.n:
         raise InputError(f"probe: need N_max >= n, got {N_max} < {P.n}")
-    if grid_depth < 1:
+    if _require_int(grid_depth, "probe_infinite: grid_depth") < 1:
         raise InputError("probe: grid_depth must be >= 1")
     for N in range(P.n + 1, N_max + 1):
         report = check_extendible(P, N)

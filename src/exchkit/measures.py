@@ -56,6 +56,7 @@ from .typespace import (
     TypeVector,
     _compositions,
     _make_type,
+    _require_int,
     as_fraction,
     enumerate_types,
     multiset_count,
@@ -176,7 +177,7 @@ def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> Exc
     ``alphabet`` defaults to a generic one of matching size; pass the real
     alphabet when the labels matter (serialization, covariance embeddings).
     """
-    if n < 1:
+    if _require_int(n, "urn_measure: n") < 1:
         raise InputError("urn_measure: n must be >= 1")
     if n > nu.mass:
         raise InputError(f"urn_measure: cannot draw {n} from urn of mass {nu.mass}")
@@ -195,6 +196,7 @@ def product_law(
     (the multinomial type law): ``weights[mu] = multiset_count(mu) *
     prod_a theta_a ** mu{a}``.
     """
+    _require_int(n, "product_law: n")
     probs = tuple(as_fraction(t) for t in theta)
     if any(p < 0 for p in probs):
         raise InputError("product_law: theta must be componentwise nonnegative")
@@ -255,6 +257,15 @@ def _mixture_type_weights(
             acc[key] = acc.get(key, 0) + scale * ways * power
             for pos in draw:
                 counts[pos] = 0
+    return _type_weights(acc, denominator)
+
+
+def _type_weights(
+    acc: Mapping[tuple[int, ...], int], denominator: int
+) -> dict[TypeVector, Fraction]:
+    """Integer numerators over ``denominator``, keyed by count tuples, as
+    type weights: zeros dropped, types lexicographically increasing, one
+    Fraction per distinct numerator."""
     shared: dict[int, Fraction] = {}
     out: dict[TypeVector, Fraction] = {}
     for c, v in sorted(acc.items()):
@@ -272,7 +283,7 @@ def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:
     Composition with the urn coefficients: ``out[tau] = sum_mu
     weights[mu] * a(mu, tau)``; exact, and consistent under iteration.
     """
-    if not 1 <= m <= law.n:
+    if not 1 <= _require_int(m, "marginalize: m") <= law.n:
         raise InputError(f"marginalize: need 1 <= m <= n, got m={m}, n={law.n}")
     if m == law.n:
         return law
@@ -347,10 +358,13 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     table of the canonical type ``p`` (width ``len(p)``) with local slot
     ``j`` placed on the ``j``-th symbol of that order, coefficients
     unchanged.  Placing the slots in another order (ties broken the other
-    way, say) can put the anchors on the wrong symbols.
+    way, say) can put the anchors on the wrong symbols.  The transport
+    reads each pattern's table through ``_pattern_table``, which inverts
+    it once per process and ``N`` and caches it as integers over one
+    common denominator.
     """
     n = mu.mass
-    if N < n:
+    if _require_int(N, "invert_urn: N") < n:
         raise InputError(f"invert_urn: need N >= mass of mu, got N={N} < {n}")
     if n == 0:
         # Zero-mass target: every urn projects to the empty law.
@@ -381,6 +395,26 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
 
     table = {anchor: c for anchor, c in zip(anchors, coeffs) if c}
     return InversionTable(mu, N, table)
+
+
+@lru_cache(maxsize=None)
+def _pattern_table(
+    pattern: tuple[int, ...], N: int
+) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """The inversion table of the canonical type whose counts are the
+    count pattern ``pattern`` (nonzero, nondecreasing), as integers over
+    one common denominator: ``(den, ((local counts, numerator), ...))``,
+    the entries in :func:`invert_urn`'s order.
+
+    The table depends only on ``(pattern, N)``, so each is inverted once
+    per process.  Only :func:`invert_urn` checks the ``urn inversion
+    types`` cap, on a miss; a caller checks it before each lookup.
+    """
+    coeffs = invert_urn(_make_type(pattern), N).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, tuple(
+        (nu.counts, c.numerator * (den // c.denominator)) for nu, c in coeffs.items()
+    )
 
 
 def reconstruct_check(table: InversionTable) -> bool:

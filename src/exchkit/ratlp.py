@@ -19,8 +19,8 @@ re-checked independently by :func:`verify`:
 * ``UNBOUNDED`` - a feasible point plus an improving recession direction.
 
 The number of pivots in one solve, over both phases, is bounded by the
-resource cap (:mod:`exchkit.caps`); Bland's rule guarantees termination, so
-the cap only limits the work.
+resource cap (:mod:`exchkit.caps`), read once when the solve is set up;
+Bland's rule guarantees termination, so the cap only limits the work.
 
 Variables have lower bound 0 or are free; finite upper bounds are handled as
 appended ``x_j <= u_j`` rows.  Certificates are indexed by the constraint
@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import neg
 from typing import Iterable, Optional, Sequence
 
-from .caps import ensure_within_cap
+from .caps import ensure_within_cap, resource_cap
 from .errors import InputError
 from .typespace import RationalLike, as_fraction
 
@@ -251,6 +251,7 @@ class _Simplex:
         self.basis: list[int] = []
         self.row_id: list[int] = list(range(m))  # surviving row -> ext row index
         self.pivots = 0
+        self.cap = resource_cap()  # read once, not on every pivot
         for i, row in enumerate(int_rows):
             den = self.den[i]
             rhs = row.pop()
@@ -278,7 +279,7 @@ class _Simplex:
         if p == 0:
             raise AssertionError("simplex: pivot on zero entry")
         self.pivots += 1
-        ensure_within_cap(self.pivots, "simplex pivots")
+        ensure_within_cap(self.pivots, "simplex pivots", self.cap)
         if p < 0:
             prow = [-v for v in prow]
             p = -p

@@ -30,7 +30,7 @@ from .measures import (
     _mixture_type_weights,
 )
 from .symmetrize import SymmetricFunction, expectation
-from .typespace import TypeVector, as_fraction, type_count
+from .typespace import TypeVector, _require_int, as_fraction, type_count
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     carrying the last infeasibility certificate (existence over the full
     simplex is guaranteed, so failure only ever indicts the grid).
     """
-    if grid_depth < 1:
+    if _require_int(grid_depth, "signed_mixture: grid_depth") < 1:
         raise InputError("signed_mixture: grid_depth must be >= 1")
     depth = grid_depth
     last_farkas = None
@@ -115,7 +115,7 @@ def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
     """
     if not mix.atoms:
         raise InputError("reconstruct: mixture has no atoms")
-    if n < 1:
+    if _require_int(n, "reconstruct: n") < 1:
         raise InputError("reconstruct: n must be >= 1")
     return _mixture_type_weights(mix.atoms, n)
 
@@ -150,7 +150,7 @@ def tv_lower_bound(
     """
     if P.alphabet != g.alphabet or P.n != g.m:
         raise InputError("tv_lower_bound: law and function are not compatible")
-    if grid_depth < 1:
+    if _require_int(grid_depth, "tv_lower_bound: grid_depth") < 1:
         raise InputError("tv_lower_bound: grid_depth must be >= 1")
     numerator = abs(expectation(P, g))
     denominator = Fraction(0)

@@ -25,6 +25,7 @@ from .symmetrize import SymmetricFunction
 from .typespace import (
     Alphabet,
     TypeVector,
+    _require_int,
     format_fraction,
     parse_fraction,
 )
@@ -93,8 +94,7 @@ def law_to_dict(law: ExchangeableLaw) -> dict:
 def law_from_dict(data: Mapping[str, Any], context: str = "law") -> ExchangeableLaw:
     alphabet = alphabet_from_json(_require(data, "alphabet", context), f"{context}.alphabet")
     n = _require(data, "n", context)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"{context}.n: expected an integer")
+    _require_int(n, f"{context}.n")
     weights = _type_map_from_json(
         _require(data, "weights", context), alphabet.size, f"{context}.weights"
     )
@@ -120,8 +120,7 @@ def function_to_dict(g: SymmetricFunction) -> dict:
 def function_from_dict(data: Mapping[str, Any], context: str = "function") -> SymmetricFunction:
     alphabet = alphabet_from_json(_require(data, "alphabet", context), f"{context}.alphabet")
     m = _require(data, "m", context)
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InputError(f"{context}.m: expected an integer")
+    _require_int(m, f"{context}.m")
     values = _type_map_from_json(
         _require(data, "values", context), alphabet.size, f"{context}.values"
     )

@@ -25,7 +25,14 @@ from typing import Mapping
 from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import ExchangeableLaw, _urn_column
-from .typespace import Alphabet, TypeVector, as_fraction, enumerate_types, type_count
+from .typespace import (
+    Alphabet,
+    TypeVector,
+    _require_int,
+    as_fraction,
+    enumerate_types,
+    type_count,
+)
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     ``sum_mu a(nu, mu) g(mu)``.
     """
     n = g.m
-    if N < n:
+    if _require_int(N, "apply_U: N") < n:
         raise InputError(f"apply_U: need N >= m, got N={N} < m={n}")
     k = g.alphabet.size
     ensure_within_cap(type_count(k, N), "mass-N type space")

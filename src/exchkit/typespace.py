@@ -46,6 +46,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise InputError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _require_int(value, name: str) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``; otherwise an input
+    error naming the argument ``name`` (``2.0`` and ``True`` are no lengths)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name}: expected an integer, got {type(value).__name__}")
+    return value
+
+
 def format_fraction(value: Fraction) -> str:
     """Serialize as ``"p/q"`` (always with the denominator, e.g. ``"2/1"``)."""
     return f"{value.numerator}/{value.denominator}"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from exchkit.extend import (
     Verdict,
     _staircase_steps,
     _staircase_type_weights,
+    _transport,
     _transport_witness,
     check_extendible,
     corollary_criterion,
@@ -32,6 +34,7 @@ from exchkit.measures import (
     urn_measure,
 )
 from exchkit.ratlp import _Simplex
+from exchkit.represent import reconstruct, signed_mixture, tv_lower_bound
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, TypeVector, enumerate_types, multiset_count
 
@@ -125,9 +128,34 @@ def test_transport_witness_fast_path():
     assert _transport_witness(URN, 3) is None  # signed transport
 
 
+def _inversion_sum(P, N):
+    """The transport's reference: every type of P inverted on its own,
+    summed in Fractions."""
+    reference: dict[TypeVector, Fraction] = {}
+    for mu, w in P.weights.items():
+        for nu, c in invert_urn(mu, N).coeffs.items():
+            reference[nu] = reference.get(nu, Fraction(0)) + w * c
+    return {nu: v for nu, v in sorted(reference.items()) if v}
+
+
+def _assert_transport_is_the_inversion_sum(P, N):
+    """The signed transport equals the reference entry for entry, and the
+    witness is the reference, keys in sorted order, exactly when it is
+    nonnegative.  Returns whether it was."""
+    reference = _inversion_sum(P, N)
+    acc, denominator = _transport(P, N)
+    signed = {T(c): Fraction(v, denominator) for c, v in sorted(acc.items()) if v}
+    assert signed == reference, (P, N)
+    witness = _transport_witness(P, N)
+    if any(v < 0 for v in reference.values()):
+        assert witness is None
+        return False
+    assert witness.weights == reference
+    assert list(witness.weights) == list(reference)
+    return True
+
+
 def test_transport_equals_the_sum_of_inversion_tables():
-    # the per-pattern transport against the reference: every type of P
-    # inverted on its own, summed in Fractions
     rng = random.Random(23)
     laws = []
     for k, n in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 2), (5, 3)):
@@ -139,18 +167,54 @@ def test_transport_equals_the_sum_of_inversion_tables():
         patterns = [tuple(sorted(c for c in mu.counts if c)) for mu in P.weights]
         repeated += P.alphabet.size == 5 and len(set(patterns)) < len(patterns)
         for N in range(P.n, P.n + 4):
-            reference: dict[TypeVector, Fraction] = {}
-            for mu, w in P.weights.items():
-                for nu, c in invert_urn(mu, N).coeffs.items():
-                    reference[nu] = reference.get(nu, Fraction(0)) + w * c
-            witness = _transport_witness(P, N)
-            if any(v < 0 for v in reference.values()):
-                assert witness is None
-                signed += 1
-            else:
-                assert witness.weights == {nu: v for nu, v in reference.items() if v}
+            if _assert_transport_is_the_inversion_sum(P, N):
                 nonnegative += 1
+            else:
+                signed += 1
     assert repeated and signed and nonnegative
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        # one pattern, (1, 2), on three different supports
+        ("2:1:0", "0:1:2", "1:0:2"),
+        # tied counts: the slots go to the support in ascending count, then
+        # position, so 1:1:2 fills symbols (0, 1, 2) and 2:1:1 fills (1, 2, 0)
+        ("1:1:2", "2:1:1"),
+        # a tie at the largest count decides which symbol takes the anchor's
+        # extra N - n draws: symbol 2, 2 and 1 here (ties below it are
+        # symmetric in the table)
+        ("1:0:1", "0:1:1", "1:1:0"),
+    ],
+)
+def test_transport_shares_one_table_per_count_pattern(types):
+    import exchkit.measures as measures
+
+    mus = [T.from_typestring(t) for t in types]
+    weights = dict.fromkeys(mus, Fraction(1, len(mus)))
+    P = ExchangeableLaw(Alphabet.of_size(3), mus[0].mass, weights)
+    Ns = range(P.n, P.n + 4)
+    for N in Ns:
+        _assert_transport_is_the_inversion_sum(P, N)
+    # one inverted table per N, whichever support the pattern sits on
+    assert measures._pattern_table.cache_info().currsize == len(Ns)
+    for N in Ns:
+        _transport(P, N)
+    assert measures._pattern_table.cache_info().misses == len(Ns)
+
+
+def test_transport_checks_the_cap_on_a_cached_table(monkeypatch):
+    # invert_urn checks its cap only when it runs, so a table cached under
+    # a larger cap must not carry a transport past a cap lowered since
+    import exchkit.measures as measures
+
+    P = ExchangeableLaw(Alphabet.of_size(3), 3, {T((1, 1, 1)): Fraction(1)})
+    _transport_witness(P, 6)  # 10 mass-3 types over 3 symbols
+    assert measures._pattern_table.cache_info().currsize == 1
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError, match="urn inversion types"):
+        _transport_witness(P, 6)
 
 
 def test_norm_takes_the_constructive_witness_first(monkeypatch):
@@ -534,6 +598,40 @@ def test_probe_validation_and_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         # not a staircase law, so the probe must reach the grid search
         probe_infinite(product_law((Fraction(1, 3), Fraction(2, 3)), 2), 2, 9)
+
+
+# A length-1 law: ``True`` passes every range check as 1, so only the type
+# check stands between it and a misleading error deeper down.
+COIN = product_law((Fraction(1, 2), Fraction(1, 2)), 1)
+ONES = SymmetricFunction(COIN.alphabet, 1, {T((1, 0)): Fraction(1), T((0, 1)): Fraction(1)})
+
+
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("product_law: n", lambda v: product_law((Fraction(1, 2), Fraction(1, 2)), v)),
+        ("urn_measure: n", lambda v: urn_measure(T((1, 1)), v)),
+        ("marginalize: m", lambda v: marginalize(COIN, v)),
+        ("invert_urn: N", lambda v: invert_urn(T((1, 0)), v)),
+        ("check_extendible: N", lambda v: check_extendible(COIN, v)),
+        ("norm_EN: N", lambda v: norm_EN(COIN, v)),
+        ("probe_infinite: N_max", lambda v: probe_infinite(COIN, v, 2)),
+        ("probe_infinite: grid_depth", lambda v: probe_infinite(COIN, 2, v)),
+        ("signed_mixture: grid_depth", lambda v: signed_mixture(COIN, v)),
+        ("tv_lower_bound: grid_depth", lambda v: tv_lower_bound(COIN, ONES, v)),
+        ("corollary_criterion: N", lambda v: corollary_criterion(COIN, ONES, v, 1)),
+        ("mixture_extension: N", lambda v: mixture_extension(
+            ((Fraction(1), (Fraction(1), Fraction(0))),), v, COIN.alphabet)),
+        ("apply_U: N", lambda v: apply_U(ONES, v)),
+        ("reconstruct: n", lambda v: reconstruct(signed_mixture(COIN, 1), v)),
+    ],
+)
+def test_lengths_must_be_integers(name, call, bad):
+    # the int-not-bool rule of serialize, at every public length argument
+    message = f"^{re.escape(name)}: expected an integer, got {type(bad).__name__}$"
+    with pytest.raises(InputError, match=message):
+        call(bad)
 
 
 def test_values_are_immutable():

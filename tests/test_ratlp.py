@@ -166,6 +166,26 @@ def test_pivot_count_is_capped(monkeypatch):
     assert verify(lp, out)
 
 
+def test_pivot_cap_is_read_once_per_solve(monkeypatch):
+    # the simplex reads the cap when it is set up, not on each of its 15
+    # pivots here: one read for the program's dimensions, one for the pivots
+    import exchkit.caps as caps
+    import exchkit.ratlp as ratlp
+
+    reads = []
+    read = caps.resource_cap
+
+    def counted():
+        reads.append(1)
+        return read()
+
+    monkeypatch.setattr(caps, "resource_cap", counted)
+    monkeypatch.setattr(ratlp, "resource_cap", counted)
+    out = solve(_klee_minty(5))
+    assert out.status is LpStatus.OPTIMAL and out.objective_value == 3125
+    assert len(reads) == 2
+
+
 def test_beale_cycling_example_terminates():
     # Beale (1955): the textbook rule cycles here, Bland's rule must not
     lp = LinearProgram.build(
