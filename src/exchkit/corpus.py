@@ -31,7 +31,7 @@ from .errors import InputError
 from .extend import _pair_matrix, staircase_mixture
 from .measures import ExchangeableLaw
 from .represent import SignedMixture
-from .typespace import Alphabet, RationalLike, TypeVector, as_fraction
+from .typespace import Alphabet, RationalLike, TypeVector, _require_int, as_fraction
 
 
 def urn_without_replacement(n: int, ones: int) -> ExchangeableLaw:
@@ -74,7 +74,7 @@ def _cell_alphabet(count: int) -> Alphabet:
 
 def _dyadic_cells(level: int) -> int:
     """Number of cells at ``level``, once the unordered cell pairs fit the cap."""
-    if level < 1:
+    if _require_int(level, "dyadic_max_law: level") < 1:
         raise InputError("dyadic_max_law: level must be >= 1")
     cells = level * 2**level
     ensure_within_cap(cells * (cells + 1) // 2, "dyadic cell pairs")

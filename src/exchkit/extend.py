@@ -27,15 +27,15 @@ Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
 nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
-matrix depends only on the larger symbol index).  A type's inversion table
-is its count pattern's table relabelled onto its support.  Each pattern's
-table is inverted once per process and ``N`` and cached as integers over
-one common denominator; the transport sums in integers and refuses a
-signed result before it builds any ``Fraction``.  The staircase witness is
-built straight from its steps: a type's weight is its multinomial times a
-tail sum picked by its largest symbol, so one walk over the mass-``N``
-draws builds the length-``N`` law without summing the prefix atoms one by
-one.  Every fast-path witness is verified against the marginal identities
+matrix depends only on the larger symbol index).  Each count pattern is
+peeled once per process and ``N``, in ``measures._pattern_table``, and its
+table cached as integers over one common denominator; the transport, like
+``invert_urn``, relabels that table onto each type's support, sums in
+integers and refuses a signed result before it builds any ``Fraction``.
+The staircase witness is built straight from its steps: a type's weight is
+its multinomial times a tail sum picked by its largest symbol, so one walk
+over the mass-``N`` draws builds the length-``N`` law without summing the
+prefix atoms one by one.  Every fast-path witness is verified against the marginal identities
 before being trusted, and a verified one settles ``norm_EN`` as well as
 ``check_extendible`` without a solve.
 """
@@ -56,9 +56,11 @@ from .measures import (
     Atom,
     ExchangeableLaw,
     _grid_columns,
+    _inversion,
     _min_total_variation,
     _mixture_type_weights,
-    _pattern_table,
+    _relabelled,
+    _support_order,
     _type_weights,
     _urn_column,
     marginalize,
@@ -209,10 +211,8 @@ def _norm_program(
 ) -> tuple[list[TypeVector], list[Fraction], LpOutcome]:
     """Solve the norm program over the mass-``N`` urn columns; returns the
     mass-``N`` types, their optimal weights and the optimal outcome."""
-    # Two signed columns per urn column: fail on the cap before building any.
-    ensure_within_cap(2 * type_count(P.alphabet.size, N), "lp dimensions")
     nus = enumerate_types(P.alphabet.size, N)
-    weights, out = _min_total_variation(P, [_urn_column(nu, P.n) for nu in nus])
+    weights, out = _min_total_variation(P, len(nus), (_urn_column(nu, P.n) for nu in nus))
     if weights is None:
         raise AssertionError("norm: total-variation program must be solvable")
     if out.objective_value < 1:
@@ -248,35 +248,19 @@ def _transport(P: ExchangeableLaw, N: int) -> tuple[dict[tuple[int, ...], int], 
     mass-``N`` weights as integer numerators keyed by count tuple, and
     their common denominator.  They satisfy the marginal identities.
 
-    A type's table is its count pattern's table relabelled (see
-    :func:`~exchkit.measures.invert_urn`): the cached integer table of
-    :func:`~exchkit.measures._pattern_table`, whose anchors are placed
-    onto each type's support in ascending count, then position.  Each
+    A type's table is its count pattern's cached integer table, relabelled
+    onto its support as :func:`~exchkit.measures.invert_urn` does.  Each
     (type, entry) product is an integer over ``T = lcm(w.den * table den)``.
     """
-    n, k = P.n, P.alphabet.size
-    tables: dict[tuple[int, ...], tuple[int, tuple]] = {}
     placed = []
     for mu, w in P.weights.items():
-        counts = mu.counts
-        # The support order of _anchored_types: ascending count, then position.
-        sup = sorted(mu.support(), key=lambda i: (counts[i], i))
-        pattern = tuple([counts[i] for i in sup])
-        table = tables.get(pattern)
-        if table is None:
-            # invert_urn checks this cap only when the cached table is missing.
-            ensure_within_cap(type_count(len(pattern), n), "urn inversion types")
-            table = tables[pattern] = _pattern_table(pattern, N)
-        placed.append((sup, w, table))
+        sup, pattern = _support_order(mu.counts)
+        placed.append((sup, w, _inversion(pattern, N)))
     denominator = math.lcm(*(w.denominator * den for _, w, (den, _) in placed))
     acc: dict[tuple[int, ...], int] = {}
     for sup, w, (den, entries) in placed:
         scale = w.numerator * (denominator // (w.denominator * den))
-        out = [0] * k
-        for local, c in entries:
-            for i, m in zip(sup, local):
-                out[i] = m
-            key = tuple(out)
+        for key, c in _relabelled(entries, sup, P.alphabet.size):
             acc[key] = acc.get(key, 0) + scale * c
     return acc, denominator
 
@@ -505,10 +489,8 @@ def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
     """Nonnegative mixture of grid product laws reproducing P, if any: the
     least-total-variation grid combination when its value is 1 (the
     weights sum to 1, so a total variation of 1 leaves none negative)."""
-    # Two signed columns per grid point: fail on the cap before building any.
-    ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
     thetas, columns = _grid_columns(P, depth)
-    weights, out = _min_total_variation(P, columns)
+    weights, out = _min_total_variation(P, len(thetas), columns)
     if weights is None or out.objective_value != 1:
         return None
     if any(w < 0 for w in weights):

@@ -23,16 +23,20 @@ norm program) compute the coefficients on their own.
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
 measures, by solving a lower-triangular system over the support of the
-target type.  It peels the system one urn column at a time, from the last
-row back, and never forms the dense matrix.  The l1 norm of those
-coefficients depends only on the support profile of the target, which is
-what keeps the extending-functional norm finite.
+target type.  The solution depends on the target only through its count
+pattern, so each pattern is peeled once, in ``_pattern_table``, one urn
+column at a time and without forming the dense matrix; ``invert_urn`` and
+the transport in ``extend`` both relabel that cached table onto a support
+ordered by ``_support_order``.  The l1 norm of the coefficients depends only
+on the support profile of the target, which is what keeps the
+extending-functional norm finite.
 
 Both kinds of measure also serve as columns of the one program that
 reproduces a law, the least total variation of a signed combination:
 urn columns for the extension questions, grid product laws
 (``_grid_columns``) for the mixture searches.  ``_min_total_variation``
-builds and solves it; no other code knows its layout.
+checks its size against the cap, builds and solves it; no other code knows
+its layout.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -45,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import ensure_within_cap
 from .errors import InputError
@@ -316,71 +320,53 @@ class InversionTable:
         return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
 
 
-def _anchored_types(mu: TypeVector, N: int) -> tuple[list[TypeVector], list[TypeVector]]:
-    """Support-restricted mass-n types and their mass-N anchors.
+def _support_order(counts: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The support of a count tuple in the inversion's order, ascending
+    count and then position, and the count pattern read in that order.
 
-    The support of ``mu`` is ordered by ascending count (alphabet position
-    breaks ties); for each lambda of mass n supported there, the anchor is
-    ``lambda + (N - n) * delta_last`` with ``last`` the final element of
-    that order, and the list comes back in the induced lexicographic order.
-    Ordering by count (any total order works for triangularity) makes the
-    resulting coefficients, and hence their l1 norm, depend only on the
-    multiset of nonzero counts of ``mu``.
+    Any total order would keep the system triangular; ordering by count
+    makes the table, and hence its l1 norm, depend only on the multiset of
+    nonzero counts.  Placing the slots in another order (ties broken the
+    other way, say) can put the anchors on the wrong symbols."""
+    sup = sorted((i for i, c in enumerate(counts) if c), key=lambda i: (counts[i], i))
+    return sup, tuple([counts[i] for i in sup])
+
+
+# A pattern's inversion table: its denominator and (anchor counts, numerator) pairs.
+PatternTable = tuple[int, tuple[tuple[tuple[int, ...], int], ...]]
+
+
+@lru_cache(maxsize=None)
+def _pattern_table(pattern: tuple[int, ...], N: int) -> PatternTable:
+    """The inversion table of the canonical type whose counts are the
+    count pattern ``pattern`` (nonzero, nondecreasing), as integers over
+    one common denominator: ``(den, ((local counts, numerator), ...))``.
+
+    This is the only triangular peel.  The unknowns are indexed by the
+    mass-``n`` types ``lambda`` on the pattern's slots, in lexicographic
+    order, and the anchor of ``lambda`` is ``lambda + (N - n) * e_last``.
+    The urn column of anchor ``j`` holds only the lambdas of index
+    ``<= j``, and lambda ``j`` itself with a positive coefficient, so
+    peeling from the last row back solves the system: a residual starts at
+    the point mass on the pattern, and each row takes its coefficient from
+    the residual at its lambda and subtracts that multiple of its column.
+    The entries come out in the order of their lambdas, zeros dropped.
+
+    The table depends only on ``(pattern, N)``, so each is peeled once per
+    process; read it through :func:`_inversion`, which checks the cap.
     """
-    n = mu.mass
-    sup = sorted(mu.support(), key=lambda i: (mu.counts[i], i))
-    lams: list[TypeVector] = []
-    anchors: list[TypeVector] = []
-    counts = [0] * mu.width
-    for part in _compositions(n, len(sup)):
-        for idx, c in zip(sup, part):
-            counts[idx] = c
-        lams.append(_make_type(tuple(counts)))
-        counts[sup[-1]] += N - n
-        anchors.append(_make_type(tuple(counts)))
-    return lams, anchors
-
-
-def invert_urn(mu: TypeVector, N: int) -> InversionTable:
-    """Solve for coefficients ``c`` with ``u_mu = sum c[nu] * urn(nu, n)``.
-
-    Works over the support of ``mu`` exactly as the triangularity argument
-    dictates: row ``j`` of the system is the urn column of anchor ``j``,
-    which holds only the lambdas of index ``<= j`` and lambda ``j`` itself
-    with a positive coefficient.  Peeling the rows from the last one back
-    solves it: a residual starts at the point mass on ``mu``, and each row
-    takes its coefficient from the residual at its lambda and subtracts
-    that multiple of its column.
-
-    The table depends on ``mu`` only through its count pattern, the
-    nonzero counts in the support order of ``_anchored_types`` (ascending
-    count, then position): if ``mu`` has pattern ``p``, its table is the
-    table of the canonical type ``p`` (width ``len(p)``) with local slot
-    ``j`` placed on the ``j``-th symbol of that order, coefficients
-    unchanged.  Placing the slots in another order (ties broken the other
-    way, say) can put the anchors on the wrong symbols.  The transport
-    reads each pattern's table through ``_pattern_table``, which inverts
-    it once per process and ``N`` and caches it as integers over one
-    common denominator.
-    """
-    n = mu.mass
-    if _require_int(N, "invert_urn: N") < n:
-        raise InputError(f"invert_urn: need N >= mass of mu, got N={N} < {n}")
-    if n == 0:
-        # Zero-mass target: every urn projects to the empty law.
-        anchor = TypeVector.delta(mu.width - 1, mu.width, N) if N else TypeVector((0,) * mu.width)
-        return InversionTable(mu, N, {anchor: Fraction(1)})
-
-    ensure_within_cap(type_count(len(mu.support()), n), "urn inversion types")
-    lams, anchors = _anchored_types(mu, N)
+    n = sum(pattern)
+    lams = [_make_type(c) for c in _compositions(n, len(pattern))]
     index = {lam: j for j, lam in enumerate(lams)}
-    residual: dict[TypeVector, Fraction] = {mu: Fraction(1)}
-    coeffs = [0] * len(lams)
+    residual: dict[TypeVector, Fraction] = {_make_type(pattern): Fraction(1)}
+    entries = []
     for j in range(len(lams) - 1, -1, -1):
-        column = _urn_column(anchors[j], n)
+        lam = lams[j].counts
+        anchor = lam[:-1] + (lam[-1] + N - n,)
+        column = _urn_column(_make_type(anchor), n)
         diagonal = 0
-        for lam, a in column:
-            i = index.get(lam, j + 1)  # a type off the lambda list is above the diagonal
+        for kappa, a in column:
+            i = index[kappa]
             if i > j:
                 raise AssertionError("invert_urn: system is not lower triangular")
             if i == j:
@@ -389,31 +375,55 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
             raise AssertionError("invert_urn: zero diagonal in triangular system")
         c = residual.get(lams[j], 0) / diagonal
         if c:
-            coeffs[j] = c
-            for lam, a in column:
-                residual[lam] = residual.get(lam, 0) - c * a
+            entries.append((anchor, c))
+            for kappa, a in column:
+                residual[kappa] = residual.get(kappa, 0) - c * a
+    entries.reverse()
+    den = math.lcm(*(c.denominator for _, c in entries))
+    return den, tuple((anchor, c.numerator * (den // c.denominator)) for anchor, c in entries)
 
-    table = {anchor: c for anchor, c in zip(anchors, coeffs) if c}
-    return InversionTable(mu, N, table)
+
+def _inversion(pattern: tuple[int, ...], N: int) -> PatternTable:
+    """:func:`_pattern_table` behind the ``urn inversion types`` cap, which
+    is checked on every lookup: a table cached under a larger cap does not
+    carry a caller past a cap lowered since."""
+    ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types")
+    return _pattern_table(pattern, N)
 
 
-@lru_cache(maxsize=None)
-def _pattern_table(
-    pattern: tuple[int, ...], N: int
-) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """The inversion table of the canonical type whose counts are the
-    count pattern ``pattern`` (nonzero, nondecreasing), as integers over
-    one common denominator: ``(den, ((local counts, numerator), ...))``,
-    the entries in :func:`invert_urn`'s order.
+def _relabelled(
+    entries: Iterable[tuple[tuple[int, ...], int]], sup: Sequence[int], k: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """A pattern table's entries with local slot ``j`` placed on symbol
+    ``sup[j]`` of a width-``k`` type, values unchanged."""
+    out = [0] * k
+    for local, c in entries:
+        for i, m in zip(sup, local):
+            out[i] = m
+        yield tuple(out), c
 
-    The table depends only on ``(pattern, N)``, so each is inverted once
-    per process.  Only :func:`invert_urn` checks the ``urn inversion
-    types`` cap, on a miss; a caller checks it before each lookup.
+
+def invert_urn(mu: TypeVector, N: int) -> InversionTable:
+    """Solve for coefficients ``c`` with ``u_mu = sum c[nu] * urn(nu, n)``.
+
+    The table depends on ``mu`` only through its count pattern, the
+    nonzero counts in the support order of :func:`_support_order`
+    (ascending count, then position): it is the table of the canonical
+    type of that pattern, peeled once by :func:`_pattern_table`, with local
+    slot ``j`` placed on the ``j``-th symbol of that order and the
+    coefficients unchanged.  The transport relabels the same cached table.
     """
-    coeffs = invert_urn(_make_type(pattern), N).coeffs
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return den, tuple(
-        (nu.counts, c.numerator * (den // c.denominator)) for nu, c in coeffs.items()
+    n = mu.mass
+    if _require_int(N, "invert_urn: N") < n:
+        raise InputError(f"invert_urn: need N >= mass of mu, got N={N} < {n}")
+    if n == 0:
+        # Zero-mass target: every urn projects to the empty law.
+        anchor = TypeVector.delta(mu.width - 1, mu.width, N) if N else TypeVector((0,) * mu.width)
+        return InversionTable(mu, N, {anchor: Fraction(1)})
+    sup, pattern = _support_order(mu.counts)
+    den, entries = _inversion(pattern, N)
+    return InversionTable(
+        mu, N, {_make_type(nu): Fraction(c, den) for nu, c in _relabelled(entries, sup, mu.width)}
     )
 
 
@@ -441,38 +451,39 @@ def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
 
     Lexicographically increasing; there are ``C(depth + k - 1, k - 1)``.
     """
-    if depth < 1:
+    if _require_int(depth, "simplex_grid: depth") < 1:
         raise InputError("simplex_grid: depth must be >= 1")
     return [
         tuple(Fraction(c, depth) for c in tv.counts) for tv in enumerate_types(k, depth)
     ]
 
 
-def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, ...]], list]:
-    """The depth-``depth`` grid parameters and the ``(type, weight)`` pairs
-    of their product laws at mass ``P.n``."""
+def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, ...]], Iterator]:
+    """The depth-``depth`` grid parameters, and the ``(type, weight)``
+    pairs of their product laws at mass ``P.n``, built one grid point at a
+    time as they are read."""
     ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
     thetas = simplex_grid(P.alphabet.size, depth)
-    return thetas, [_mixture_type_weights(((1, t),), P.n).items() for t in thetas]
+    return thetas, (_mixture_type_weights(((1, t),), P.n).items() for t in thetas)
 
 
 def _min_total_variation(
-    P: ExchangeableLaw, columns: Sequence[Iterable[tuple[TypeVector, Fraction]]]
+    P: ExchangeableLaw, width: int, columns: Iterable[Iterable[tuple[TypeVector, Fraction]]]
 ) -> tuple[Optional[tuple[Fraction, ...]], LpOutcome]:
-    """Least total variation of a signed combination of the sparse
-    ``(type, weight)`` columns reproducing ``P``: the signed weight of each
-    column (None unless OPTIMAL) and the outcome.  Each weight is one
-    variable, declared to the simplex as a +1 column (its positive part)
-    and a -1 column (its negative part) at cost 1 each, all positive parts
-    first; no negated copy of a column is written.  Its certificate has one
-    entry per mass-``n`` type in ``enumerate_types`` order: at the optimum
-    the row duals, whose negation ``y`` has ``|y . column| <= 1`` for every
-    column and ``y . P`` equal to the value; otherwise a Farkas vector,
-    orthogonal to every column but not to ``P``."""
+    """Least total variation of a signed combination of the ``width``
+    sparse ``(type, weight)`` columns reproducing ``P``: the signed weight
+    of each column (None unless OPTIMAL) and the outcome.  Each weight is
+    one variable, declared to the simplex as a +1 column (its positive
+    part) and a -1 column (its negative part) at cost 1 each, all positive
+    parts first; no negated copy of a column is written.  The ``lp
+    dimensions`` cap is checked on ``width`` before any column is read, so
+    a lazy ``columns`` is never built over the cap.  Its certificate has
+    one entry per mass-``n`` type in ``enumerate_types`` order: at the
+    optimum the row duals, whose negation ``y`` has ``|y . column| <= 1``
+    for every column and ``y . P`` equal to the value; otherwise a Farkas
+    vector, orthogonal to every column but not to ``P``."""
+    ensure_within_cap(max(2 * width, type_count(P.alphabet.size, P.n)), "lp dimensions")
     mus = enumerate_types(P.alphabet.size, P.n)
-    width = len(columns)
-    # Two signed columns per weight.
-    ensure_within_cap(max(2 * width, len(mus)), "lp dimensions")
     index = {mu: r for r, mu in enumerate(mus)}
     zero = Fraction(0)
     rows = [[zero] * width for _ in mus]

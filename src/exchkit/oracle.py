@@ -20,7 +20,7 @@ from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import ExchangeableLaw
 from .ratlp import LinearProgram, LpStatus, _extended_rows, _max_objective
-from .typespace import Alphabet, TypeVector, type_of
+from .typespace import Alphabet, TypeVector, _require_int, type_of
 
 # -- exact dense linear algebra -------------------------------------------------
 
@@ -98,7 +98,7 @@ def urn_law_by_enumeration(
     Lays out the urn as labelled balls and walks every injection, so each of
     the ``(N)_n`` ordered draws is counted once.
     """
-    if n < 1 or n > nu.mass:
+    if not 1 <= _require_int(n, "urn_law_by_enumeration: n") <= nu.mass:
         raise InputError(f"urn oracle: need 1 <= n <= {nu.mass}, got {n}")
     ensure_within_cap(math.perm(nu.mass, n), "ordered urn draws")
     if alphabet is None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .caps import ensure_within_cap
 from .errors import InputError, RepresentationError
 from .measures import (
     Atom,
@@ -30,7 +29,7 @@ from .measures import (
     _mixture_type_weights,
 )
 from .symmetrize import SymmetricFunction, expectation
-from .typespace import TypeVector, _require_int, as_fraction, type_count
+from .typespace import TypeVector, _require_int, as_fraction
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,8 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     depth = grid_depth
     last_farkas = None
     for _ in range(5):
-        # Two signed columns per grid point: fail on the cap before building any.
-        ensure_within_cap(2 * type_count(P.alphabet.size, depth), "lp dimensions")
         thetas, columns = _grid_columns(P, depth)
-        weights, out = _min_total_variation(P, columns)
+        weights, out = _min_total_variation(P, len(thetas), columns)
         if weights is not None:
             return SignedMixture(tuple(zip(weights, thetas)))
         last_farkas = out.certificate

@@ -125,7 +125,7 @@ class Alphabet:
     @staticmethod
     def of_size(k: int) -> "Alphabet":
         """Generic alphabet ``s1..sk`` for callers that only care about k."""
-        if k < 1:
+        if _require_int(k, "Alphabet.of_size: k") < 1:
             raise InputError("alphabet: size must be >= 1")
         return Alphabet(tuple(f"s{i + 1}" for i in range(k)))
 
@@ -233,16 +233,18 @@ def enumerate_types(alphabet: Alphabet | int, mass: int) -> list[TypeVector]:
     The result has length ``C(mass + k - 1, k - 1)``; mass 0 yields the
     single zero type.
     """
-    k = alphabet if isinstance(alphabet, int) else alphabet.size
-    if k < 1:
+    k = alphabet.size if isinstance(alphabet, Alphabet) else alphabet
+    if _require_int(k, "enumerate_types: k") < 1:
         raise InputError("enumerate_types: alphabet must have k >= 1")
-    if not isinstance(mass, int) or mass < 0:
-        raise InputError(f"enumerate_types: mass must be an integer >= 0, got {mass!r}")
+    if _require_int(mass, "enumerate_types: mass") < 0:
+        raise InputError(f"enumerate_types: mass must be >= 0, got {mass}")
     return [_make_type(c) for c in _compositions(mass, k)]
 
 
 def type_count(k: int, mass: int) -> int:
     """``|N_mass(S)| = C(mass + k - 1, k - 1)`` without enumerating."""
+    _require_int(k, "type_count: k")
+    _require_int(mass, "type_count: mass")
     return math.comb(mass + k - 1, k - 1)
 
 
@@ -275,7 +277,7 @@ def subtypes(nu: TypeVector, mass: int) -> Iterator[TypeVector]:
     kept.  Mass 0 yields the zero type; a mass above ``nu``'s yields
     nothing.
     """
-    if mass < 0:
+    if _require_int(mass, "subtypes: mass") < 0:
         raise InputError("subtypes: mass must be >= 0")
     if mass > nu.mass:
         return

@@ -46,6 +46,15 @@ def test_urn_golden(capsys):
     assert out == (DATA / "golden_urn_22.json").read_text()
 
 
+def test_invert_golden(capsys):
+    # a tied count and a zero slot: the golden pins the relabelling order
+    code, out, _ = run_cli(
+        capsys, "invert", '{"alphabet":["a","b","c","d"],"type":"1:0:2:1"}', "--N", "6"
+    )
+    assert code == 0
+    assert out == (DATA / "golden_invert_1021_N6.json").read_text()
+
+
 def test_outputs_stable_across_runs(capsys):
     first = run_cli(capsys, "extend", URN_LAW, "--N", "4")
     second = run_cli(capsys, "extend", URN_LAW, "--N", "4")

@@ -30,13 +30,22 @@ from exchkit.measures import (
     invert_urn,
     marginalize,
     product_law,
+    simplex_grid,
     urn_coefficient,
     urn_measure,
 )
+from exchkit.oracle import urn_law_by_enumeration
 from exchkit.ratlp import _Simplex
 from exchkit.represent import reconstruct, signed_mixture, tv_lower_bound
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
-from exchkit.typespace import Alphabet, TypeVector, enumerate_types, multiset_count
+from exchkit.typespace import (
+    Alphabet,
+    TypeVector,
+    enumerate_types,
+    multiset_count,
+    subtypes,
+    type_count,
+)
 
 from helpers import assert_report_certified, random_law, random_theta
 
@@ -205,8 +214,8 @@ def test_transport_shares_one_table_per_count_pattern(types):
 
 
 def test_transport_checks_the_cap_on_a_cached_table(monkeypatch):
-    # invert_urn checks its cap only when it runs, so a table cached under
-    # a larger cap must not carry a transport past a cap lowered since
+    # a table cached under a larger cap must not carry a transport past a
+    # cap lowered since
     import exchkit.measures as measures
 
     P = ExchangeableLaw(Alphabet.of_size(3), 3, {T((1, 1, 1)): Fraction(1)})
@@ -286,10 +295,10 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
 def test_norm_program_over_the_cap_is_never_built(monkeypatch):
     import exchkit.extend as extend
 
-    def built(P, columns):
+    def built(nu, n):
         raise AssertionError("norm program built over the cap")
 
-    monkeypatch.setattr(extend, "_min_total_variation", built)
+    monkeypatch.setattr(extend, "_urn_column", built)
     monkeypatch.setenv("EXCHKIT_CAP", "20")  # 13 mass-12 types, 26 variables
     with pytest.raises(CapacityError, match="lp dimensions: size 26"):
         check_extendible(URN, 12)
@@ -625,6 +634,15 @@ ONES = SymmetricFunction(COIN.alphabet, 1, {T((1, 0)): Fraction(1), T((0, 1)): F
             ((Fraction(1), (Fraction(1), Fraction(0))),), v, COIN.alphabet)),
         ("apply_U: N", lambda v: apply_U(ONES, v)),
         ("reconstruct: n", lambda v: reconstruct(signed_mixture(COIN, 1), v)),
+        ("type_count: k", lambda v: type_count(v, 2)),
+        ("type_count: mass", lambda v: type_count(2, v)),
+        ("subtypes: mass", lambda v: list(subtypes(T((1, 1)), v))),
+        ("Alphabet.of_size: k", lambda v: Alphabet.of_size(v)),
+        ("enumerate_types: k", lambda v: enumerate_types(v, 2)),
+        ("enumerate_types: mass", lambda v: enumerate_types(2, v)),
+        ("simplex_grid: depth", lambda v: simplex_grid(2, v)),
+        ("urn_law_by_enumeration: n", lambda v: urn_law_by_enumeration(T((1, 1)), v)),
+        ("dyadic_max_law: level", lambda v: dyadic_max_law(v, [1, 1])),
     ],
 )
 def test_lengths_must_be_integers(name, call, bad):

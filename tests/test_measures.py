@@ -121,8 +121,9 @@ def test_urn_column_matches_urn_coefficient():
 
 def test_invert_urn_against_draw_oracle():
     # Shares no code with invert_urn: the urn laws come from enumerating
-    # every ordered draw.
-    for k in range(1, 4):
+    # every ordered draw.  k = 4 reaches ties next to a zero slot (1:0:1:1,
+    # 0:1:1:1), where the relabelling decides which symbol takes the anchor.
+    for k in range(1, 5):
         for n in range(1, 4):
             for mu in enumerate_types(k, n):
                 for N in range(n, n + 3):
@@ -321,6 +322,13 @@ def test_invert_urn_respects_cap(monkeypatch):
     assert reconstruct_check(invert_urn(T((1, 1)), 3))  # 3 mass-2 types fit
     with pytest.raises(CapacityError, match="urn inversion types"):
         invert_urn(T((1, 1, 1)), 6)  # 10 mass-3 types over 3 symbols
+    # a table peeled and cached under the default cap does not carry a
+    # lookup past a cap lowered since
+    monkeypatch.delenv("EXCHKIT_CAP")
+    assert reconstruct_check(invert_urn(T((1, 1, 1)), 6))
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError, match="urn inversion types"):
+        invert_urn(T((1, 1, 1)), 6)
 
 
 def test_reconstruct_check_respects_cap(monkeypatch):
@@ -352,9 +360,9 @@ def test_min_total_variation_contract():
                 P = random_law(rng, k, n)
                 urns = [_urn_column(nu, n) for nu in enumerate_types(k, n + rng.randint(0, 2))]
                 # a grid of depth >= n spans every mass-n type law
-                grid = _grid_columns(P, n + rng.randint(0, 1))[1]
+                grid = list(_grid_columns(P, n + rng.randint(0, 1))[1])
                 for columns in (urns, grid):
-                    weights, out = _min_total_variation(P, columns)
+                    weights, out = _min_total_variation(P, len(columns), columns)
                     value = out.objective_value
                     assert _combine(weights, columns) == dict(P.weights)
                     assert sum((abs(w) for w in weights), Fraction(0)) == value
@@ -370,8 +378,8 @@ def test_min_total_variation_contract():
 def test_min_total_variation_infeasible_grid():
     # the depth-1 grid holds only the two point masses, which miss 1:1
     P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
-    columns = _grid_columns(P, 1)[1]
-    weights, out = _min_total_variation(P, columns)
+    columns = list(_grid_columns(P, 1)[1])
+    weights, out = _min_total_variation(P, len(columns), columns)
     assert weights is None
     y = dict(zip(enumerate_types(2, 2), out.certificate))
     assert all(_pair(y, column) == 0 for column in columns)
