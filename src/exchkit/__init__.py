@@ -7,7 +7,7 @@ norm-violating function, a Farkas ray, or an explicit product mixture).
 """
 
 from .caps import DEFAULT_RESOURCE_CAP, resource_cap
-from .errors import CapacityError, ExchkitError, InputError, RepresentationError
+from .errors import CapacityError, ExchkitError, InputError
 from .extend import (
     CovarianceBound,
     ExtendReport,
@@ -33,7 +33,7 @@ from .measures import (
     urn_measure,
 )
 from .ratlp import LinearProgram, LpOutcome, LpStatus, solve, verify
-from .represent import SignedMixture, TvBound, reconstruct, signed_mixture, tv_lower_bound
+from .represent import SignedMixture, reconstruct, signed_mixture, tv_lower_bound
 from .symmetrize import SymmetricFunction, apply_U, expectation, kernel_check, sup_norm
 from .typespace import (
     Alphabet,
@@ -63,10 +63,8 @@ __all__ = [
     "LpOutcome",
     "LpStatus",
     "Rational",
-    "RepresentationError",
     "SignedMixture",
     "SymmetricFunction",
-    "TvBound",
     "TypeVector",
     "Verdict",
     "apply_U",

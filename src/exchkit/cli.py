@@ -5,7 +5,7 @@ stdin), runs one analysis, and prints one report.  Verdicts are data, never
 exit codes: a refutation is a successfully completed analysis.
 
 Exit status: 0 for any completed analysis, 1 for input/schema errors, 2 for
-resource-cap or grid-budget exhaustion, 3 for an internal invariant failure
+resource-cap exhaustion, 3 for an internal invariant failure
 (a bug, reported as one ``error: internal: ...`` line, never as an answer),
 141 (128 + SIGPIPE) when standard output is closed before the report is
 written, with nothing on stderr.  Integer options take an optional ``-``
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .caps import ensure_within_cap
-from .errors import CapacityError, ExchkitError, InputError, RepresentationError
+from .errors import CapacityError, ExchkitError, InputError
 from .extend import (
     InfiniteOutcome,
     Verdict,
@@ -435,7 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CapacityError, RepresentationError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExchkitError as exc:  # any other library failure is an input problem

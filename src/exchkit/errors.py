@@ -22,15 +22,3 @@ class CapacityError(ExchkitError):
 
     Raised before any work is attempted; never produces a wrong answer.
     """
-
-
-class RepresentationError(ExchkitError):
-    """No signed mixture was found on any tried grid.
-
-    Carries the last infeasibility certificate so the failure is checkable.
-    """
-
-    def __init__(self, message: str, *, grid_depth: int, farkas=None):
-        super().__init__(message)
-        self.grid_depth = grid_depth
-        self.farkas = farkas

@@ -9,9 +9,10 @@ The questions answered here, all exactly:
 * ``check_extendible(P, N)`` - decide N-extendibility and hand back either
   an extension law (witness) or a symmetric function violating the norm
   bound (refutation); both sides are machine-checkable.
-* ``probe_infinite`` - sweep N upward looking for a refutation, then try to
-  certify infinite extendibility by writing ``P`` as a nonnegative mixture
-  of product laws on a rational grid.
+* ``probe_infinite`` - certify infinite extendibility at once when ``P`` is
+  a staircase pair law, else sweep N upward looking for a refutation, then
+  try to certify by writing ``P`` as a nonnegative mixture of product laws
+  on a rational grid.
 * ``covariance_bound`` - the classical pairwise-covariance necessary
   condition under a numeric embedding of the alphabet.
 
@@ -450,9 +451,10 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
 
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
-    two variables per mass-``N`` type: for large ``N`` the transport is the
-    only route that stays cheap, and once those types are more than half
-    the resource cap, the only one that runs at all.
+    one variable per mass-``N`` type, declared to the simplex as two signed
+    columns: for large ``N`` the transport is the only route that stays
+    cheap, and once those types are more than half the resource cap, the
+    only one that runs at all.
     """
     _check_target(P, N, "check_extendible")
     witness = _constructive_witness(P, N)
@@ -503,15 +505,29 @@ def probe_infinite(
 ) -> InfiniteReport:
     """Probe infinite extendibility within a finite budget.
 
-    Step 1 sweeps N upward and reports the first refutation.  Step 2 tries
-    to certify by a product-mixture: the staircase certificate first (exact,
-    grid-free), then the grid LP at ``grid_depth`` and once more at double
-    depth.  Grid infeasibility proves nothing, hence UNKNOWN.
+    Step 1 asks for the staircase certificate (exact, grid-free): a
+    nonnegative product mixture extends ``P`` to every N, so no sweep could
+    refute it, and its atoms are checked against ``P`` before they are
+    returned.  Step 2 sweeps N upward and reports the first refutation.
+    Step 3 tries to certify by the grid LP at ``grid_depth`` and once more
+    at double depth; it comes last because its programs cost far more than
+    a refutation at small N.  Grid infeasibility proves nothing, hence
+    UNKNOWN.
     """
     if _require_int(N_max, "probe_infinite: N_max") < P.n:
         raise InputError(f"probe: need N_max >= n, got {N_max} < {P.n}")
     if _require_int(grid_depth, "probe_infinite: grid_depth") < 1:
         raise InputError("probe: grid_depth must be >= 1")
+    atoms = staircase_mixture(P)
+    if atoms is not None:
+        if _mixture_type_weights(atoms, P.n) != dict(P.weights):
+            raise AssertionError("probe: staircase atoms do not reproduce the law")
+        return InfiniteReport(
+            InfiniteOutcome.CERTIFIED_INFINITE,
+            N_max=N_max,
+            grid_depth=grid_depth,
+            mixture=atoms,
+        )
     for N in range(P.n + 1, N_max + 1):
         report = check_extendible(P, N)
         if report.verdict is Verdict.NOT_EXTENDIBLE:
@@ -522,14 +538,6 @@ def probe_infinite(
                 failing_N=N,
                 failing_report=report,
             )
-    atoms = staircase_mixture(P)
-    if atoms is not None:
-        return InfiniteReport(
-            InfiniteOutcome.CERTIFIED_INFINITE,
-            N_max=N_max,
-            grid_depth=grid_depth,
-            mixture=atoms,
-        )
     for depth in (grid_depth, 2 * grid_depth):
         atoms = _grid_mixture(P, depth)
         if atoms is not None:

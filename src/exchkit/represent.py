@@ -11,16 +11,16 @@ infinite-extendibility probe, ``measures._min_total_variation``.
 A total variation of 1 means the mixture is an honest probability mixture;
 anything above 1 quantifies how far the law is from being one *on that
 grid*.  No claim is made that the grid optimum equals the infimum over the
-whole simplex.
+whole simplex; :func:`tv_lower_bound` bounds that infimum from below, and
+the grid total variation bounds it from above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .errors import InputError, RepresentationError
+from .errors import InputError
 from .measures import (
     Atom,
     ExchangeableLaw,
@@ -28,7 +28,7 @@ from .measures import (
     _min_total_variation,
     _mixture_type_weights,
 )
-from .symmetrize import SymmetricFunction, expectation
+from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import TypeVector, _require_int, as_fraction
 
 
@@ -77,27 +77,25 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
 
     Solves: minimize the l1 norm of the weights subject to reproducing every
     type weight of ``P`` exactly, over product parameters with coordinates
-    ``j/d``.  If the grid cannot represent ``P`` the depth is doubled, up to
-    four refinements; running out raises :class:`RepresentationError`
-    carrying the last infeasibility certificate (existence over the full
-    simplex is guaranteed, so failure only ever indicts the grid).
+    ``j/d``.  If the grid cannot represent ``P`` the depth is doubled until
+    it can, which happens by the first depth ``d >= n``: the degree-``d``
+    principal lattice is unisolvent (Chung & Yao, SIAM J. Numer. Anal.
+    1977), so the product laws on it span every mass-``n`` law.  An
+    infeasible program at such a depth is an internal invariant failure.
     """
     if _require_int(grid_depth, "signed_mixture: grid_depth") < 1:
         raise InputError("signed_mixture: grid_depth must be >= 1")
     depth = grid_depth
-    last_farkas = None
-    for _ in range(5):
+    while True:
         thetas, columns = _grid_columns(P, depth)
-        weights, out = _min_total_variation(P, len(thetas), columns)
+        weights, _ = _min_total_variation(P, len(thetas), columns)
         if weights is not None:
             return SignedMixture(tuple(zip(weights, thetas)))
-        last_farkas = out.certificate
+        if depth >= P.n:
+            raise AssertionError(
+                f"signed_mixture: the depth-{depth} grid cannot represent a mass-{P.n} law"
+            )
         depth *= 2
-    raise RepresentationError(
-        f"signed_mixture: no representation up to grid depth {depth // 2}",
-        grid_depth=depth // 2,
-        farkas=last_farkas,
-    )
 
 
 def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
@@ -117,53 +115,29 @@ def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
     return _mixture_type_weights(mix.atoms, n)
 
 
-@dataclass(frozen=True)
-class TvBound:
-    """Ratio ``|E_P g| / max_grid |I(g, theta)|`` with its caveats.
+def tv_lower_bound(P: ExchangeableLaw, g: SymmetricFunction, N: int) -> Fraction:
+    """Certified lower bound ``|E_P g| / sup |U_N g|`` on the total
+    variation of every signed product mixture that reproduces ``P``.
 
-    ``value`` is None when the grid denominator vanished while the
-    numerator did not (an infinite bound: the grid is degenerate for this
-    ``g``).  ``grid_only`` records that the denominator maximum was taken
-    over the grid, not the whole simplex; the ratio is a certified lower
-    bound on the total variation of any representing mixture only when the
-    simplex maximum is attained on the grid.
-    """
-
-    value: Optional[Fraction]
-    infinite: bool
-    grid_depth: int
-    grid_only: bool = True
-
-
-def tv_lower_bound(
-    P: ExchangeableLaw, g: SymmetricFunction, grid_depth: int = 4
-) -> TvBound:
-    """Grid estimate of the representation-norm lower bound for one ``g``.
-
-    The numerator is exact; the denominator ``max |I(g, theta)|`` scans the
-    product laws on the grid, so the reported ratio may overshoot the true
-    bound when the simplex maximum falls between grid points - hence the
-    ``grid_only`` flag on the result.
+    ``(U_N g)(nu)`` are the degree-``N`` Bernstein coefficients of the
+    polynomial ``I(g, theta) = sum_mu g(mu) * mult(mu) * theta**mu``, and
+    Bernstein coefficients bound their polynomial on the simplex.  Since
+    ``E_P g`` is the weighted sum of ``I(g, theta)`` over the atoms, the
+    ratio bounds the total variation of any representation, with its atoms
+    on a grid or off it.  It does not decrease with ``N >= n``.  ``U_N``
+    has a trivial kernel, so the denominator is 0 only for ``g = 0``, whose
+    bound is 0.
     """
     if P.alphabet != g.alphabet or P.n != g.m:
         raise InputError("tv_lower_bound: law and function are not compatible")
-    if _require_int(grid_depth, "tv_lower_bound: grid_depth") < 1:
-        raise InputError("tv_lower_bound: grid_depth must be >= 1")
-    numerator = abs(expectation(P, g))
-    denominator = Fraction(0)
-    for column in _grid_columns(P, grid_depth)[1]:
-        value = sum((w * g.values[tv] for tv, w in column), Fraction(0))
-        denominator = max(denominator, abs(value))
-    if denominator == 0:
-        if numerator == 0:
-            return TvBound(Fraction(0), infinite=False, grid_depth=grid_depth)
-        return TvBound(None, infinite=True, grid_depth=grid_depth)
-    return TvBound(numerator / denominator, infinite=False, grid_depth=grid_depth)
+    if _require_int(N, "tv_lower_bound: N") < P.n:
+        raise InputError(f"tv_lower_bound: need N >= n, got N={N} < n={P.n}")
+    sup = sup_norm(apply_U(g, N))
+    return abs(expectation(P, g)) / sup if sup else Fraction(0)
 
 
 __all__ = [
     "SignedMixture",
-    "TvBound",
     "reconstruct",
     "signed_mixture",
     "tv_lower_bound",

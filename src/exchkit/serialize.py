@@ -20,7 +20,7 @@ from .errors import InputError
 from .extend import ExtendReport, InfiniteReport
 from .measures import ExchangeableLaw, InversionTable
 from .ratlp import LinearProgram, LpOutcome, LpStatus
-from .represent import SignedMixture, TvBound
+from .represent import SignedMixture
 from .symmetrize import SymmetricFunction
 from .typespace import (
     Alphabet,
@@ -222,15 +222,6 @@ def covariance_to_dict(bound) -> dict:
     }
 
 
-def tv_bound_to_dict(bound: TvBound) -> dict:
-    return {
-        "value": None if bound.value is None else format_fraction(bound.value),
-        "infinite": bound.infinite,
-        "grid_depth": bound.grid_depth,
-        "grid_only": bound.grid_only,
-    }
-
-
 # -- linear programs ------------------------------------------------------------------
 
 
@@ -335,5 +326,4 @@ __all__ = [
     "mixture_from_dict",
     "mixture_to_dict",
     "outcome_to_dict",
-    "tv_bound_to_dict",
 ]

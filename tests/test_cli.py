@@ -99,6 +99,18 @@ def test_probe_and_represent(capsys):
     assert json.loads(out)["total_variation"] == "3/1"
 
 
+def test_represent_never_runs_out_of_grid(capsys):
+    # depths 1..16 cannot carry a mass-17 law; depth 32 can
+    from exchkit.corpus import urn_without_replacement
+    from exchkit.serialize import law_to_dict
+
+    law = json.dumps(law_to_dict(urn_without_replacement(17, 8)))
+    code, out, err = run_cli(capsys, "represent", law, "--grid-depth", "1")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["reconstruction_exact"] is True and report["total_mass"] == "1/1"
+
+
 def test_invert_subcommand(capsys):
     code, out, _ = run_cli(capsys, "invert", '{"alphabet": ["a","b"], "type": "1:1"}', "--N", "3")
     assert code == 0

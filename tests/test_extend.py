@@ -591,6 +591,27 @@ def test_probe_unknown_on_coarse_grid():
     assert probe_infinite(P, 3, 3).outcome is InfiniteOutcome.CERTIFIED_INFINITE
 
 
+def test_probe_certifies_a_staircase_law_before_the_sweep(monkeypatch):
+    # the sweep would enumerate the 201 types of mass 200; the staircase
+    # atoms certify every N without it
+    P, _ = dyadic_max_law(1, [1, 1])
+    monkeypatch.setenv("EXCHKIT_CAP", "200")
+    report = probe_infinite(P, 300, 1)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.mixture == ((Fraction(1), (Fraction(1, 2), Fraction(1, 2))),)
+    assert report.failing_N is None and report.grid_depth_used is None
+
+
+def test_probe_refuses_staircase_atoms_that_miss_the_law(monkeypatch):
+    import exchkit.extend as extend
+
+    P, _ = dyadic_max_law(1, [1, 1])
+    forged = ((Fraction(1), (Fraction(1, 3), Fraction(2, 3))),)
+    monkeypatch.setattr(extend, "staircase_mixture", lambda law: forged)
+    with pytest.raises(AssertionError, match="staircase atoms do not reproduce"):
+        probe_infinite(P, 3, 1)
+
+
 def test_probe_records_range_and_depth():
     report = probe_infinite(URN, 4, 7)
     assert (report.N_max, report.grid_depth) == (4, 7)
@@ -628,7 +649,7 @@ ONES = SymmetricFunction(COIN.alphabet, 1, {T((1, 0)): Fraction(1), T((0, 1)): F
         ("probe_infinite: N_max", lambda v: probe_infinite(COIN, v, 2)),
         ("probe_infinite: grid_depth", lambda v: probe_infinite(COIN, 2, v)),
         ("signed_mixture: grid_depth", lambda v: signed_mixture(COIN, v)),
-        ("tv_lower_bound: grid_depth", lambda v: tv_lower_bound(COIN, ONES, v)),
+        ("tv_lower_bound: N", lambda v: tv_lower_bound(COIN, ONES, v)),
         ("corollary_criterion: N", lambda v: corollary_criterion(COIN, ONES, v, 1)),
         ("mixture_extension: N", lambda v: mixture_extension(
             ((Fraction(1), (Fraction(1), Fraction(0))),), v, COIN.alphabet)),

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit.corpus import urn_without_replacement
-from exchkit.errors import CapacityError, InputError, RepresentationError
-from exchkit.extend import InfiniteOutcome, probe_infinite
+from exchkit.corpus import disjoint_pairs_law, urn_without_replacement
+from exchkit.errors import CapacityError, InputError
+from exchkit.extend import InfiniteOutcome, Verdict, check_extendible, probe_infinite
 from exchkit.measures import product_law
 from exchkit.represent import (
     SignedMixture,
@@ -101,13 +101,40 @@ def test_grid_refinement_kicks_in():
     assert reconstruct(mix, 2) == dict(product_law(HALF, 2).weights)
 
 
-def test_representation_error_carries_certificate():
-    # mass 17 needs 18 independent atoms; depths 1..16 top out at 17
+def test_deep_grid_represents_where_depth_16_cannot():
+    # mass 17 needs 18 independent atoms; depths 1..16 top out at 17, so
+    # the doubling goes on to depth 32 >= n
     law = urn_without_replacement(17, 8)
-    with pytest.raises(RepresentationError) as err:
-        signed_mixture(law, 1)
-    assert err.value.grid_depth == 16
-    assert err.value.farkas is not None
+    mix = signed_mixture(law, 1)
+    assert all((t * 32).denominator == 1 for _, theta in mix.atoms for t in theta)
+    assert any((t * 16).denominator != 1 for _, theta in mix.atoms for t in theta)
+    assert reconstruct(mix, 17) == dict(law.weights)
+
+
+def test_depth_n_grid_always_represents():
+    # the degree-n principal lattice is unisolvent, so no doubling happens
+    rng = random.Random(31)
+    for _ in range(36):
+        k, n = rng.randint(2, 4), rng.randint(1, 4)
+        law = random_law(rng, k, n)
+        mix = signed_mixture(law, n)
+        assert all((t * n).denominator == 1 for _, theta in mix.atoms for t in theta)
+        assert reconstruct(mix, n) == dict(law.weights)
+
+
+def test_infeasible_grid_at_depth_n_is_an_internal_error(monkeypatch):
+    import exchkit.represent as represent
+
+    widths = []
+
+    def infeasible(P, width, columns):
+        widths.append(width)
+        return None, None
+
+    monkeypatch.setattr(represent, "_min_total_variation", infeasible)
+    with pytest.raises(AssertionError, match="depth-4 grid cannot represent a mass-3 law"):
+        signed_mixture(urn_without_replacement(3, 1), 1)
+    assert widths == [2, 3, 5]  # grid points at depths 1, 2 and 4
 
 
 def test_binary_sufficiency_depth_n():
@@ -135,8 +162,7 @@ def test_probability_mixture_consistency():
 
 def test_tv_bound_constant_function():
     one = SymmetricFunction.constant(URN.alphabet, 2, Fraction(1))
-    bound = tv_lower_bound(URN, one)
-    assert bound.value == 1 and not bound.infinite
+    assert tv_lower_bound(URN, one, 2) == 1
 
 
 def test_tv_bound_spike_on_depth4_grid():
@@ -145,46 +171,62 @@ def test_tv_bound_spike_on_depth4_grid():
         2,
         {T((2, 0)): Fraction(-1), T((1, 1)): Fraction(2), T((0, 2)): Fraction(-1)},
     )
-    bound = tv_lower_bound(URN, spike, 4)
-    # numerator 2; the quadratic -p^2 + 4p(1-p) - (1-p)^2 peaks at 1 in
-    # absolute value over the grid {0, 1/4, 1/2, 3/4, 1}
-    assert bound.value == 2
-    assert bound.grid_only and bound.grid_depth == 4
+    # numerator 2; the Bernstein coefficients of -p^2 + 4p(1-p) - (1-p)^2
+    # reach 2 in absolute value at degree 2 and 1 from degree 3 on
+    bounds = [tv_lower_bound(URN, spike, N) for N in (2, 3, 4, 8)]
+    assert bounds == [1, 2, 2, 2]
     # consistency with an actual representation: no mixture beats the bound
-    assert signed_mixture(URN, 4).total_variation >= bound.value
+    assert signed_mixture(URN, 4).total_variation == 3
 
 
-def test_tv_bound_degenerate_grid_is_infinite():
+def test_tv_bound_spike_regression_values():
+    # U_N of the (1,1) indicator peaks at N / (2(N-1)) for even N, which
+    # falls toward the polynomial's maximum 1/2, so the bound rises to 2
     spike = SymmetricFunction.from_values(
         URN.alphabet, 2, {T((1, 1)): Fraction(1)}
     )
-    bound = tv_lower_bound(URN, spike, 1)  # depth-1 grid sees only corners
-    assert bound.infinite and bound.value is None
+    bounds = [tv_lower_bound(URN, spike, N) for N in (2, 3, 8, 16)]
+    assert bounds == [1, Fraction(3, 2), Fraction(7, 4), Fraction(15, 8)]
+    assert max(bounds) < signed_mixture(URN, 2).total_variation == 3
 
 
 def test_tv_bound_zero_over_zero_is_zero():
+    # U_N has a trivial kernel: only g = 0 has a zero denominator
     law = product_law((Fraction(1), Fraction(0)), 2)
+    zero = SymmetricFunction.constant(law.alphabet, 2, Fraction(0))
+    assert tv_lower_bound(law, zero, 2) == 0
     g = SymmetricFunction.from_values(law.alphabet, 2, {T((1, 1)): Fraction(1)})
-    bound = tv_lower_bound(law, g, 1)
-    assert bound.value == 0 and not bound.infinite
+    assert tv_lower_bound(law, g, 2) == 0  # E_P g = 0 over sup |U g| = 1
 
 
 def test_tv_bound_below_tv_of_same_grid_mixtures():
-    # with the bound and the mixture on the same grid, the chain
-    # |E g| <= TV * max_grid |I(g, .)| holds exactly for every g
+    # |E g| <= TV * sup |U_N g| for every representation, so the bound
+    # never exceeds a mixture signed_mixture found, and it rises with N
     rng = random.Random(29)
     from helpers import random_function
 
     for _ in range(15):
-        n = rng.randint(1, 3)
-        law = random_law(rng, 2, n)
-        depth = max(n, 2)
-        mix = signed_mixture(law, depth)
+        k, n = rng.randint(2, 3), rng.randint(1, 3)
+        law = random_law(rng, k, n)
+        tvs = [signed_mixture(law, depth).total_variation for depth in (1, 2, n + 1)]
         for _ in range(4):
             g = random_function(rng, law.alphabet, n)
-            bound = tv_lower_bound(law, g, depth)
-            if not bound.infinite:
-                assert bound.value <= mix.total_variation
+            bounds = [tv_lower_bound(law, g, N) for N in range(n, n + 5)]
+            assert bounds == sorted(bounds)
+            assert bounds[-1] <= min(tvs)
+
+
+def test_tv_bound_equals_the_norm_on_refutations():
+    rng = random.Random(37)
+    laws = [URN, disjoint_pairs_law()[0]] + [random_law(rng, 3, 2) for _ in range(12)]
+    refuted = 0
+    for law in laws:
+        for N in (law.n + 1, law.n + 3):
+            report = check_extendible(law, N)
+            if report.verdict is Verdict.NOT_EXTENDIBLE:
+                refuted += 1
+                assert tv_lower_bound(law, report.refutation, N) == report.norm
+    assert refuted >= 4
 
 
 def test_grid_program_over_the_cap_is_never_built(monkeypatch):

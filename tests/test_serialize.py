@@ -92,17 +92,6 @@ def test_lp_round_trip_and_outcome():
     assert out["status"] in ("optimal", "infeasible", "unbounded")
 
 
-def test_tv_bound_serialization():
-    from exchkit.represent import tv_lower_bound
-    from exchkit.serialize import tv_bound_to_dict
-    from exchkit.symmetrize import SymmetricFunction
-
-    law = urn_measure(TypeVector((1, 1)), 2)
-    one = SymmetricFunction.constant(law.alphabet, 2, Fraction(1))
-    data = tv_bound_to_dict(tv_lower_bound(law, one))
-    assert data == {"value": "1/1", "infinite": False, "grid_depth": 4, "grid_only": True}
-
-
 def test_lp_default_bounds():
     lp = lp_from_dict(
         {
