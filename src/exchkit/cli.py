@@ -432,13 +432,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExchkitError as exc:  # any other library failure is an input problem
+    except ExchkitError as exc:  # InputError, and any other library failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

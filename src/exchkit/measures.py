@@ -15,10 +15,12 @@ distribution.  Its weights are the coefficients::
 which form a row-stochastic matrix from mass-``N`` types to mass-``n`` types.
 Row ``nu`` of that matrix is the *urn column* of ``nu``: the sparse list of
 ``(mu, a(nu, mu))`` pairs over the subtypes ``mu`` of ``nu``, built once per
-``(nu, n)`` by ``_urn_column``.  Urn measures, marginals, the inversion,
-the norm program and ``apply_U`` all read the matrix through it; only the
-independent checks (``extend.marginal_matches`` and the CLI's brute-force
-norm program) compute the coefficients on their own.
+``(nu, n)`` by ``_urn_column``.  Urn measures, the inversion, the norm
+program and ``apply_U`` read the matrix through it.  The marginal readers
+(``marginalize``, ``reconstruct_check``, ``extend.marginal_matches``) read
+``_marginal``, the one ``n``-marginal of an urn combination, which sums by
+count pattern and reads no urn column; the CLI's brute-force norm program
+computes the coefficients on its own.
 
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
@@ -48,6 +50,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter, le
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -164,17 +167,6 @@ def _urn_column(nu: TypeVector, n: int) -> tuple[tuple[TypeVector, Fraction], ..
     )
 
 
-def _urn_mixture(
-    weights: Iterable[tuple[TypeVector, Fraction]], n: int
-) -> dict[TypeVector, Fraction]:
-    """Type weights of ``sum_nu weights[nu] * urn(nu, n)`` at mass ``n``."""
-    out: dict[TypeVector, Fraction] = {}
-    for nu, w in weights:
-        for mu, a in _urn_column(nu, n):
-            out[mu] = out.get(mu, 0) + w * a
-    return out
-
-
 def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> ExchangeableLaw:
     """Law of ``n`` ordered draws without replacement from urn ``nu``.
 
@@ -281,17 +273,77 @@ def _type_weights(
     return out
 
 
+def _marginal(weights: WeightMap, k: int, n: int) -> dict[TypeVector, Fraction]:
+    """Type weights of ``sum_nu weights[nu] * urn(nu, n)``, the one
+    mass-``n`` marginal of an urn combination; reads no urn column.
+
+    The weights may have either sign, on width-``k`` types of one mass
+    ``N >= n`` (read once).  The draws of ``n`` from an urn depend only on
+    its count pattern (its nonzero counts, in symbol order), so each
+    pattern met gets one table: per mass-``n`` local draw, an
+    ``itemgetter`` over the urn slots it touches, its nonzero counts and
+    its number of ways.  The weights, as integers over their common
+    denominator ``L``, are summed per draw by the symbols its slots land
+    on, and each sum is multiplied by the draw's ways once; ``mu`` weighs
+    its total over ``L * C(N, n)``.  Zeros are dropped, types increase.
+    """
+    if not weights:
+        return {}
+    if n == 0:
+        total = sum(weights.values(), Fraction(0))
+        return {_make_type((0,) * k): total} if total else {}
+    N = next(iter(weights)).mass
+    common = math.lcm(*(q.denominator for q in weights.values()))
+    # pattern -> one (slot getter, sums by symbols) per local draw; the same
+    # sums again in ``entries``, with the draw's nonzero counts and ways.
+    tables: dict[tuple[int, ...], list[tuple[itemgetter, dict]]] = {}
+    entries: list[tuple[tuple[int, ...], int, dict]] = []
+    positions = range(k)
+    for nu, q in weights.items():
+        counts = nu.counts
+        pattern = tuple(filter(None, counts))
+        table = tables.get(pattern)
+        if table is None:
+            table = tables[pattern] = []
+            for local in _compositions(n, len(pattern)):
+                if all(map(le, local, pattern)):
+                    sums: dict = {}
+                    table.append((itemgetter(*[j for j, m in enumerate(local) if m]), sums))
+                    ways = math.prod(map(math.comb, pattern, local))
+                    entries.append((tuple(filter(None, local)), ways, sums))
+        sup = list(itertools.compress(positions, counts))
+        q_int = q.numerator * (common // q.denominator)
+        for get, sums in table:
+            symbols = get(sup)
+            sums[symbols] = sums.get(symbols, 0) + q_int
+    acc: dict[tuple, int] = {}
+    for local, ways, sums in entries:
+        for symbols, total in sums.items():
+            key = (local, symbols)
+            acc[key] = acc.get(key, 0) + total * ways
+    by_counts: dict[tuple[int, ...], int] = {}
+    for (local, symbols), v in acc.items():
+        if len(local) == 1:  # a one-slot getter returns a bare symbol
+            symbols = (symbols,)
+        counts = [0] * k
+        for s, m in zip(symbols, local):
+            counts[s] = m
+        by_counts[tuple(counts)] = v
+    return _type_weights(by_counts, common * math.comb(N, n))
+
+
 def marginalize(law: ExchangeableLaw, m: int) -> ExchangeableLaw:
     """Law of the first ``m`` coordinates, still by type weights.
 
     Composition with the urn coefficients: ``out[tau] = sum_mu
-    weights[mu] * a(mu, tau)``; exact, and consistent under iteration.
+    weights[mu] * a(mu, tau)``, summed by :func:`_marginal`; exact, and
+    consistent under iteration.
     """
     if not 1 <= _require_int(m, "marginalize: m") <= law.n:
         raise InputError(f"marginalize: need 1 <= m <= n, got m={m}, n={law.n}")
     if m == law.n:
         return law
-    return ExchangeableLaw(law.alphabet, m, _urn_mixture(law.weights.items(), m))
+    return ExchangeableLaw(law.alphabet, m, _marginal(law.weights, law.alphabet.size, m))
 
 
 @dataclass(frozen=True)
@@ -431,19 +483,15 @@ def reconstruct_check(table: InversionTable) -> bool:
     """Exact verification that the table reproduces its target class law.
 
     True iff ``sum_nu coeffs[nu] * a(nu, kappa) == 1{kappa == mu}`` for
-    every mass-``n`` type ``kappa``.
+    every mass-``n`` type ``kappa``, summed by :func:`_marginal` and not
+    through the urn columns :func:`_pattern_table` peeled.
     """
     mu = table.mu
     n, k = mu.mass, mu.width
     if any(nu.width != k or nu.mass != table.N for nu in table.coeffs):
         return False
     ensure_within_cap(type_count(k, n), "mass-n type space")
-    acc = _urn_mixture(table.coeffs.items(), n)
-    for kappa in enumerate_types(k, n):
-        expected = Fraction(1) if kappa == mu else Fraction(0)
-        if acc.get(kappa, Fraction(0)) != expected:
-            return False
-    return True
+    return _marginal(table.coeffs, k, n) == {mu: Fraction(1)}
 
 
 def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:

@@ -55,6 +55,14 @@ def test_invert_golden(capsys):
     assert out == (DATA / "golden_invert_1021_N6.json").read_text()
 
 
+
+def test_corpus_all_matches_golden(capsys):
+    # also pins the covariance_bound values of the pairs entry
+    code, out, _ = run_cli(capsys, "corpus", "all")
+    assert code == 0
+    assert out == (DATA / "golden_corpus_all.json").read_text()
+
+
 def test_outputs_stable_across_runs(capsys):
     first = run_cli(capsys, "extend", URN_LAW, "--N", "4")
     second = run_cli(capsys, "extend", URN_LAW, "--N", "4")

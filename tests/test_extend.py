@@ -1,5 +1,6 @@
 """Extendibility: norm, witnesses, refutations, probes, covariance."""
 
+import itertools
 import math
 import random
 import re
@@ -45,6 +46,7 @@ from exchkit.typespace import (
     multiset_count,
     subtypes,
     type_count,
+    type_of,
 )
 
 from helpers import assert_report_certified, random_law, random_theta
@@ -372,21 +374,23 @@ def _witness_with_denominators(rng, k, N, denominators):
     return ExchangeableLaw(Alphabet.of_size(k), N, {tv: w / total for tv, w in raw.items()})
 
 
-def _agrees_with_marginalize(witness, P):
+def _agrees_with_brute_marginal(witness, P):
     return marginal_matches(witness, P) == (
-        dict(marginalize(witness, P.n).weights) == dict(P.weights)
+        dict(_brute_marginal(witness, P.n).weights) == dict(P.weights)
     )
 
 
-def test_marginal_matches_agrees_with_marginalize():
+def test_marginal_matches_agrees_with_brute_marginal():
+    # marginalize and marginal_matches read one sum, so the reference is
+    # the urn_coefficient sum of _brute_marginal
     rng = random.Random(43)
     for _ in range(40):
         k, N = rng.randint(1, 3), rng.randint(1, 5)
         witness = _witness_with_denominators(rng, k, N, (7, 11, 13))
         other = _witness_with_denominators(rng, k, N, (7, 11, 13))
         for n in range(1, N + 1):
-            assert marginal_matches(witness, marginalize(witness, n))
-            assert _agrees_with_marginalize(witness, marginalize(other, n))
+            assert marginal_matches(witness, _brute_marginal(witness, n))
+            assert _agrees_with_brute_marginal(witness, _brute_marginal(other, n))
     # weights whose common denominator is wider than a machine word
     big = {T((5, 0, 0)): Fraction(1, 7**12), T((0, 5, 0)): Fraction(1, 11**10),
            T((0, 0, 5)): Fraction(1, 13**9)}
@@ -394,9 +398,9 @@ def test_marginal_matches_agrees_with_marginalize():
     witness = ExchangeableLaw(Alphabet.of_size(3), 5, big)
     assert math.lcm(*(w.denominator for w in witness.weights.values())) > 2**64
     for n in range(1, 6):
-        assert marginal_matches(witness, marginalize(witness, n))
-        shifted = marginalize(_witness_with_denominators(rng, 3, 5, (7, 11, 13)), n)
-        assert _agrees_with_marginalize(witness, shifted)
+        assert marginal_matches(witness, _brute_marginal(witness, n))
+        shifted = _brute_marginal(_witness_with_denominators(rng, 3, 5, (7, 11, 13)), n)
+        assert _agrees_with_brute_marginal(witness, shifted)
 
 
 def test_marginal_matches_rejects_moved_mass():
@@ -630,6 +634,28 @@ def test_probe_validation_and_capacity(monkeypatch):
         probe_infinite(product_law((Fraction(1, 3), Fraction(2, 3)), 2), 2, 9)
 
 
+
+def test_probe_certifies_by_grid_when_the_sweep_hits_the_cap(monkeypatch):
+    # the sweep's norm program outgrows the cap at N = 10 (2 * 11 columns),
+    # but theta is on the depth-3 grid, whose certificate holds for every N
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    monkeypatch.setenv("EXCHKIT_CAP", "20")
+    report = probe_infinite(P, 30, 3)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.mixture == ((Fraction(1), (Fraction(1, 3), Fraction(2, 3))),)
+    assert report.grid_depth_used == 3 and report.failing_N is None
+
+
+def test_probe_reraises_the_sweeps_cap_without_a_grid_certificate(monkeypatch):
+    import exchkit.extend as extend
+
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    monkeypatch.setenv("EXCHKIT_CAP", "20")
+    monkeypatch.setattr(extend, "_grid_mixture", lambda law, depth: None)
+    with pytest.raises(CapacityError, match="lp dimensions: size 22"):
+        probe_infinite(P, 30, 3)  # never UNKNOWN for an unfinished sweep
+
+
 # A length-1 law: ``True`` passes every range check as 1, so only the type
 # check stands between it and a misleading error deeper down.
 COIN = product_law((Fraction(1, 2), Fraction(1, 2)), 1)
@@ -699,6 +725,26 @@ def test_covariance_examples():
     assert ub.cov == Fraction(-1, 4)
     assert ub.var == Fraction(1, 4)
     assert ub.satisfies  # floor at n=2 is exactly -1/4
+
+
+
+def test_covariance_bound_against_sequences():
+    # moments summed over every length-n sequence, without marginalize
+    rng = random.Random(71)
+    for _ in range(40):
+        k, n = rng.randint(1, 3), rng.randint(2, 4)
+        law = random_law(rng, k, n)
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(k)]
+        mean = second = cross = Fraction(0)
+        for seq in itertools.product(range(k), repeat=n):
+            p = law.point_probability(type_of(seq, law.alphabet))
+            a, b = values[seq[0]], values[seq[1]]
+            mean += p * a
+            second += p * a * a
+            cross += p * a * b
+        cov, var = cross - mean * mean, second - mean * mean
+        bound = covariance_bound(law, dict(zip(law.alphabet.symbols, values)))
+        assert bound == (cov, var, cov >= -var / (n - 1))
 
 
 def test_covariance_needs_pairs():

@@ -10,6 +10,7 @@ from exchkit.measures import (
     ExchangeableLaw,
     InversionTable,
     _grid_columns,
+    _marginal,
     _min_total_variation,
     _urn_column,
     invert_urn,
@@ -83,7 +84,9 @@ def test_row_stochasticity(k):
 
 
 def test_projection_consistency():
-    # marginalizing the n2-draw law to n1 coordinates is the n1-draw law
+    # marginalizing the n2-draw law to n1 coordinates is the n1-draw law:
+    # two independent kernels, the count-pattern sum of _marginal against
+    # the urn column
     for k in (2, 3):
         for N in range(2, 7):
             for nu in enumerate_types(k, N):
@@ -168,6 +171,45 @@ def test_reconstruct_check_rejects_perturbation():
         for i, (nu, c) in enumerate(table.coeffs.items())
     }
     assert not reconstruct_check(InversionTable(table.mu, table.N, bumped))
+
+
+
+def test_reconstruct_check_reads_no_urn_column(monkeypatch):
+    import exchkit.measures as measures
+
+    tables = [invert_urn(mu, N) for mu in (T((1, 1)), T((2, 0, 1)), T((1, 1, 1)))
+              for N in (mu.mass, mu.mass + 2)]
+
+    def unavailable(*args):
+        raise AssertionError("reconstruct_check read an urn column")
+
+    monkeypatch.setattr(measures, "_urn_column", unavailable)
+    for table in tables:
+        assert reconstruct_check(table)
+        (nu, c), *rest = table.coeffs.items()
+        bumped = dict(table.coeffs)
+        bumped[nu] = c + Fraction(1, 2**70)
+        assert not reconstruct_check(InversionTable(table.mu, table.N, bumped))
+        if rest:  # the same total, moved to another urn
+            kappa = rest[0][0]
+            bumped[kappa] -= Fraction(1, 2**70)
+            assert not reconstruct_check(InversionTable(table.mu, table.N, bumped))
+
+
+def test_marginal_of_signed_inversion_tables():
+    # every invert_urn table sums to the point mass on its target
+    for k in range(1, 4):
+        for N in range(0, 6):
+            for n in range(0, N + 1):
+                for mu in enumerate_types(k, n):
+                    assert _marginal(invert_urn(mu, N).coeffs, k, n) == {mu: 1}
+    # an empty table reproduces nothing; a mass-0 table its zero type
+    assert _marginal({}, 2, 1) == {}
+    assert not reconstruct_check(InversionTable(T((1, 0)), 2, {}))
+    zero = invert_urn(T((0, 0)), 3)
+    assert _marginal(zero.coeffs, 2, 0) == {T((0, 0)): 1}
+    assert reconstruct_check(zero) and reconstruct_check(invert_urn(T((0, 0)), 0))
+    assert _marginal({T((1, 0)): Fraction(1), T((0, 1)): Fraction(-1)}, 2, 0) == {}
 
 
 def test_l1_depends_only_on_support_profile():
