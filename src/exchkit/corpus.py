@@ -36,6 +36,8 @@ from .typespace import Alphabet, RationalLike, TypeVector, _require_int, as_frac
 
 def urn_without_replacement(n: int, ones: int) -> ExchangeableLaw:
     """Uniform law on binary length-``n`` sequences with exactly ``ones`` ones."""
+    _require_int(n, "urn_without_replacement: n")
+    _require_int(ones, "urn_without_replacement: ones")
     if n < 2:
         raise InputError("urn_without_replacement: need n >= 2")
     if not 0 <= ones <= n:
@@ -154,6 +156,9 @@ def coarse_convergence_check(
     """
     if not levels:
         raise InputError("coarse_convergence_check: need at least one level")
+    for j in levels:
+        _require_int(j, "coarse_convergence_check: levels")
+    _require_int(i, "coarse_convergence_check: i")
     if any(j < 1 for j in levels):
         raise InputError("coarse_convergence_check: levels must be >= 1")
     if not 1 <= i <= min(levels):

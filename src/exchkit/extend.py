@@ -12,7 +12,7 @@ The questions answered here, all exactly:
 * ``probe_infinite`` - certify infinite extendibility at once when ``P`` is
   a staircase pair law, else sweep N upward looking for a refutation, then
   try to certify by writing ``P`` as a nonnegative mixture of product laws
-  on a rational grid.
+  on a rational grid (the grid program of ``represent._grid_mixture``).
 * ``covariance_bound`` - the classical pairwise-covariance necessary
   condition under a numeric embedding of the alphabet.
 
@@ -28,17 +28,16 @@ Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
 nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
-matrix depends only on the larger symbol index).  Each count pattern is
-peeled once per process and ``N``, in ``measures._pattern_table``, and its
-table cached as integers over one common denominator; the transport, like
-``invert_urn``, relabels that table onto each type's support, sums in
-integers and refuses a signed result before it builds any ``Fraction``.
-The staircase witness is built straight from its steps: a type's weight is
-its multinomial times a tail sum picked by its largest symbol, so one walk
-over the mass-``N`` draws builds the length-``N`` law without summing the
-prefix atoms one by one.  Every fast-path witness is verified against the marginal identities
-before being trusted, and a verified one settles ``norm_EN`` as well as
-``check_extendible`` without a solve.
+matrix depends only on the larger symbol index).  The transport is
+``measures._transport``, which owns the inversion tables and sums in
+integers; this module only refuses a signed result, before it builds any
+``Fraction``.  The staircase witness is built straight from its steps: a
+type's weight is its multinomial times a tail sum picked by its largest
+symbol, so one walk over the mass-``N`` draws builds the length-``N`` law
+without summing the prefix atoms one by one.  Every fast-path witness is
+verified against the marginal identities before being trusted, and a
+verified one settles ``norm_EN`` as well as ``check_extendible`` without a
+solve.
 """
 
 from __future__ import annotations
@@ -55,18 +54,16 @@ from .errors import CapacityError, InputError
 from .measures import (
     Atom,
     ExchangeableLaw,
-    _grid_columns,
-    _inversion,
     _marginal,
     _min_total_variation,
     _mixture_type_weights,
-    _relabelled,
-    _support_order,
+    _transport,
     _type_weights,
     _urn_column,
     marginalize,
 )
 from .ratlp import LpOutcome
+from .represent import _grid_mixture
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import (
     Alphabet,
@@ -144,9 +141,7 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
     """Exact marginal identity: does ``witness`` project onto ``P``?
 
     The marginal is :func:`~exchkit.measures._marginal`, an integer sum by
-    count pattern that reads no urn column and no fast path's tables.  A
-    level-3 dyadic witness at ``N = 4`` (17,550 types) is checked in about
-    0.06-0.10 s (2-vCPU shared host).
+    count pattern that reads no urn column and no fast path's tables.
     """
     if witness.alphabet != P.alphabet or witness.n < P.n:
         return False
@@ -193,34 +188,13 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
 # -- constructive fast paths -------------------------------------------------------
 
 
-def _transport(P: ExchangeableLaw, N: int) -> tuple[dict[tuple[int, ...], int], int]:
-    """Push ``P`` through the triangular inversion tables: the signed
-    mass-``N`` weights as integer numerators keyed by count tuple, and
-    their common denominator.  They satisfy the marginal identities.
-
-    A type's table is its count pattern's cached integer table, relabelled
-    onto its support as :func:`~exchkit.measures.invert_urn` does.  Each
-    (type, entry) product is an integer over ``T = lcm(w.den * table den)``.
-    """
-    placed = []
-    for mu, w in P.weights.items():
-        sup, pattern = _support_order(mu.counts)
-        placed.append((sup, w, _inversion(pattern, N)))
-    denominator = math.lcm(*(w.denominator * den for _, w, (den, _) in placed))
-    acc: dict[tuple[int, ...], int] = {}
-    for sup, w, (den, entries) in placed:
-        scale = w.numerator * (denominator // (w.denominator * den))
-        for key, c in _relabelled(entries, sup, P.alphabet.size):
-            acc[key] = acc.get(key, 0) + scale * c
-    return acc, denominator
-
-
 def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
-    """The transport of ``P`` (see :func:`_transport`) as a law, when it
-    lands in the nonnegative orthant; otherwise None, decided on the
-    integer numerators before any ``Fraction`` is built.  Each distinct
-    numerator becomes one ``Fraction``, the types in sorted order."""
-    acc, denominator = _transport(P, N)
+    """The transport of ``P`` (see :func:`~exchkit.measures._transport`)
+    as a law, when it lands in the nonnegative orthant; otherwise None,
+    decided on the integer numerators before any ``Fraction`` is built.
+    Each distinct numerator becomes one ``Fraction``, the types in sorted
+    order."""
+    acc, denominator = _transport(P.weights, P.alphabet.size, N)
     if any(v < 0 for v in acc.values()):
         return None
     return ExchangeableLaw(P.alphabet, N, _type_weights(acc, denominator))
@@ -359,10 +333,7 @@ def _constructive_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLa
     The staircase witness is built from its steps in one walk over the
     mass-``N`` draws (see :func:`_staircase_type_weights`), not through
     :func:`mixture_extension`, which would walk every prefix atom
-    separately.  :func:`marginal_matches`, which reads neither path's
-    tables, still costs about twice as much as building it: 0.06-0.10 s
-    against 0.02-0.04 s for a level-3 dyadic witness at ``N = 4``
-    (17,550 types, 2-vCPU shared host)."""
+    separately.  :func:`marginal_matches` reads neither path's tables."""
     witness = _transport_witness(P, N)
     if witness is None:
         steps = _staircase_steps(P)
@@ -436,17 +407,11 @@ def corollary_criterion(
     return abs(expectation(P, g)) <= (1 + eps) * sup_norm(apply_U(g, N))
 
 
-def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[tuple[Atom, ...]]:
-    """Nonnegative mixture of grid product laws reproducing P, if any: the
-    least-total-variation grid combination when its value is 1 (the
-    weights sum to 1, so a total variation of 1 leaves none negative)."""
-    thetas, columns = _grid_columns(P, depth)
-    weights, out = _min_total_variation(P, len(thetas), columns)
-    if weights is None or out.objective_value != 1:
-        return None
-    if any(w < 0 for w in weights):
-        raise AssertionError("probe: total-variation-1 grid mixture has a negative weight")
-    return tuple((w, theta) for w, theta in zip(weights, thetas) if w)
+def _check_mixture(P: ExchangeableLaw, source: str, atoms: Sequence[Atom]) -> None:
+    """A product-mixture certificate from ``source`` must be nonnegative
+    and reproduce ``P``; a failure is an internal error, never an answer."""
+    if any(w < 0 for w, _ in atoms) or _mixture_type_weights(atoms, P.n) != dict(P.weights):
+        raise AssertionError(f"probe: {source} atoms do not reproduce the law")
 
 
 def probe_infinite(
@@ -456,13 +421,13 @@ def probe_infinite(
 
     Step 1 asks for the staircase certificate (exact, grid-free): a
     nonnegative product mixture extends ``P`` to every N, so no sweep could
-    refute it, and its atoms are checked against ``P`` before they are
-    returned.  Step 2 sweeps N upward and reports the first refutation.
+    refute it.  Step 2 sweeps N upward and reports the first refutation.
     Step 3 tries to certify by the grid LP at ``grid_depth`` and once more
     at double depth; it comes last because its programs cost far more than
-    a refutation at small N.  Grid infeasibility proves nothing, hence
-    UNKNOWN; but a sweep stopped by the cap raises its ``CapacityError``
-    unless the grid certifies.
+    a refutation at small N.  Either certificate's atoms are checked
+    against ``P`` before they are returned.  Grid infeasibility proves
+    nothing, hence UNKNOWN; but a sweep stopped by the cap raises its
+    ``CapacityError`` unless the grid certifies.
     """
     if _require_int(N_max, "probe_infinite: N_max") < P.n:
         raise InputError(f"probe: need N_max >= n, got {N_max} < {P.n}")
@@ -470,14 +435,8 @@ def probe_infinite(
         raise InputError("probe: grid_depth must be >= 1")
     atoms = staircase_mixture(P)
     if atoms is not None:
-        if _mixture_type_weights(atoms, P.n) != dict(P.weights):
-            raise AssertionError("probe: staircase atoms do not reproduce the law")
-        return InfiniteReport(
-            InfiniteOutcome.CERTIFIED_INFINITE,
-            N_max=N_max,
-            grid_depth=grid_depth,
-            mixture=atoms,
-        )
+        _check_mixture(P, "staircase", atoms)
+        return InfiniteReport(InfiniteOutcome.CERTIFIED_INFINITE, N_max, grid_depth, atoms)
     capped = None
     try:
         for N in range(P.n + 1, N_max + 1):
@@ -493,13 +452,12 @@ def probe_infinite(
     except CapacityError as exc:
         capped = exc  # a grid certificate holds for every N, so try it first
     for depth in (grid_depth, 2 * grid_depth):
-        atoms = _grid_mixture(P, depth)
-        if atoms is not None:
+        # the weights sum to 1, so a total variation of 1 leaves none negative
+        mix = _grid_mixture(P, depth)
+        if mix is not None and mix.total_variation == 1:
+            _check_mixture(P, "grid", mix.atoms)
             return InfiniteReport(
-                InfiniteOutcome.CERTIFIED_INFINITE,
-                N_max=N_max,
-                grid_depth=grid_depth,
-                mixture=atoms,
+                InfiniteOutcome.CERTIFIED_INFINITE, N_max, grid_depth, mix.atoms,
                 grid_depth_used=depth,
             )
     if capped is not None:

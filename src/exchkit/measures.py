@@ -27,18 +27,20 @@ single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
 measures, by solving a lower-triangular system over the support of the
 target type.  The solution depends on the target only through its count
 pattern, so each pattern is peeled once, in ``_pattern_table``, one urn
-column at a time and without forming the dense matrix; ``invert_urn`` and
-the transport in ``extend`` both relabel that cached table onto a support
-ordered by ``_support_order``.  The l1 norm of the coefficients depends only
-on the support profile of the target, which is what keeps the
-extending-functional norm finite.
+column at a time and without forming the dense matrix.  ``_transport`` is
+the one reader of those cached tables: it relabels each onto a support
+ordered by ``_support_order`` and sums a whole combination of class laws
+in integers.  ``invert_urn`` is the transport of a single class, and
+``extend`` decides with the transport of a law.  The l1 norm of the
+coefficients depends only on the support profile of the target, which is
+what keeps the extending-functional norm finite.
 
 Both kinds of measure also serve as columns of the one program that
 reproduces a law, the least total variation of a signed combination:
 urn columns for the extension questions, grid product laws
-(``_grid_columns``) for the mixture searches.  ``_min_total_variation``
-checks its size against the cap, builds and solves it; no other code knows
-its layout.
+(``_grid_columns``, read only by ``represent._grid_mixture``) for the
+mixture searches.  ``_min_total_variation`` checks its size against the
+cap, builds and solves it; no other code knows its layout.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -405,7 +407,7 @@ def _pattern_table(pattern: tuple[int, ...], N: int) -> PatternTable:
     The entries come out in the order of their lambdas, zeros dropped.
 
     The table depends only on ``(pattern, N)``, so each is peeled once per
-    process; read it through :func:`_inversion`, which checks the cap.
+    process; read it through :func:`_transport`, which checks the cap.
     """
     n = sum(pattern)
     lams = [_make_type(c) for c in _compositions(n, len(pattern))]
@@ -435,24 +437,36 @@ def _pattern_table(pattern: tuple[int, ...], N: int) -> PatternTable:
     return den, tuple((anchor, c.numerator * (den // c.denominator)) for anchor, c in entries)
 
 
-def _inversion(pattern: tuple[int, ...], N: int) -> PatternTable:
-    """:func:`_pattern_table` behind the ``urn inversion types`` cap, which
-    is checked on every lookup: a table cached under a larger cap does not
-    carry a caller past a cap lowered since."""
-    ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types")
-    return _pattern_table(pattern, N)
+def _transport(weights: WeightMap, k: int, N: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """Push ``sum_mu weights[mu] * u_mu`` through the inversion tables: the
+    signed mass-``N`` urn weights as integer numerators keyed by count
+    tuple, and their common denominator.  They satisfy the marginal
+    identities of the combination.
 
-
-def _relabelled(
-    entries: Iterable[tuple[tuple[int, ...], int]], sup: Sequence[int], k: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """A pattern table's entries with local slot ``j`` placed on symbol
-    ``sup[j]`` of a width-``k`` type, values unchanged."""
-    out = [0] * k
-    for local, c in entries:
-        for i, m in zip(sup, local):
-            out[i] = m
-        yield tuple(out), c
+    The only reader of :func:`_pattern_table`.  Each width-``k`` type
+    ``mu`` reads its count pattern's table, relabelled onto its support:
+    local slot ``j`` goes to the ``j``-th symbol of :func:`_support_order`,
+    values unchanged.  Each (type, entry) product is an integer over
+    ``T = lcm(w.den * table den)``.  The ``urn inversion types`` cap is
+    checked on every lookup: a table cached under a larger cap does not
+    carry a caller past a cap lowered since.
+    """
+    placed = []
+    for mu, w in weights.items():
+        sup, pattern = _support_order(mu.counts)
+        ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types")
+        placed.append((sup, w, _pattern_table(pattern, N)))
+    denominator = math.lcm(*(w.denominator * den for _, w, (den, _) in placed))
+    acc: dict[tuple[int, ...], int] = {}
+    for sup, w, (den, entries) in placed:
+        scale = w.numerator * (denominator // (w.denominator * den))
+        out = [0] * k
+        for local, c in entries:
+            for i, m in zip(sup, local):
+                out[i] = m
+            key = tuple(out)
+            acc[key] = acc.get(key, 0) + scale * c
+    return acc, denominator
 
 
 def invert_urn(mu: TypeVector, N: int) -> InversionTable:
@@ -463,7 +477,8 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     (ascending count, then position): it is the table of the canonical
     type of that pattern, peeled once by :func:`_pattern_table`, with local
     slot ``j`` placed on the ``j``-th symbol of that order and the
-    coefficients unchanged.  The transport relabels the same cached table.
+    coefficients unchanged.  It is the transport of the point mass on
+    ``mu`` (see :func:`_transport`).
     """
     n = mu.mass
     if _require_int(N, "invert_urn: N") < n:
@@ -472,11 +487,8 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
         # Zero-mass target: every urn projects to the empty law.
         anchor = TypeVector.delta(mu.width - 1, mu.width, N) if N else TypeVector((0,) * mu.width)
         return InversionTable(mu, N, {anchor: Fraction(1)})
-    sup, pattern = _support_order(mu.counts)
-    den, entries = _inversion(pattern, N)
-    return InversionTable(
-        mu, N, {_make_type(nu): Fraction(c, den) for nu, c in _relabelled(entries, sup, mu.width)}
-    )
+    acc, den = _transport({mu: Fraction(1)}, mu.width, N)
+    return InversionTable(mu, N, {_make_type(nu): Fraction(c, den) for nu, c in acc.items()})
 
 
 def reconstruct_check(table: InversionTable) -> bool:

@@ -5,8 +5,9 @@ product laws.  This module searches for such a combination with the product
 parameters restricted to the rational grid of a given depth, minimizing
 total variation (the l1 norm of the weights), and reports exactly what it
 found: the atoms, their total variation, and - through :func:`reconstruct` -
-the exact law they reproduce.  It solves the same grid program as the
-infinite-extendibility probe, ``measures._min_total_variation``.
+the exact law they reproduce.  The grid program is built and solved once,
+in ``_grid_mixture``, which the infinite-extendibility probe in ``extend``
+reads too; its layout is ``measures._min_total_variation``'s.
 
 A total variation of 1 means the mixture is an honest probability mixture;
 anything above 1 quantifies how far the law is from being one *on that
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import InputError
 from .measures import (
@@ -72,6 +74,18 @@ class SignedMixture:
         return len(self.atoms[0][1]) if self.atoms else 0
 
 
+def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[SignedMixture]:
+    """The least-total-variation combination of the depth-``depth`` grid
+    product laws reproducing ``P``; None when the grid cannot reproduce it.
+    The one grid program: :func:`signed_mixture` doubles its depth and
+    ``extend.probe_infinite`` certifies from it."""
+    thetas, columns = _grid_columns(P, depth)
+    weights, _ = _min_total_variation(P, len(thetas), columns)
+    if weights is None:
+        return None
+    return SignedMixture(tuple(zip(weights, thetas)))
+
+
 def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     """Minimum-total-variation signed mixture of grid product laws.
 
@@ -87,10 +101,9 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
         raise InputError("signed_mixture: grid_depth must be >= 1")
     depth = grid_depth
     while True:
-        thetas, columns = _grid_columns(P, depth)
-        weights, _ = _min_total_variation(P, len(thetas), columns)
-        if weights is not None:
-            return SignedMixture(tuple(zip(weights, thetas)))
+        mix = _grid_mixture(P, depth)
+        if mix is not None:
+            return mix
         if depth >= P.n:
             raise AssertionError(
                 f"signed_mixture: the depth-{depth} grid cannot represent a mass-{P.n} law"

@@ -152,7 +152,8 @@ class TypeVector(namedtuple("TypeVector", "counts")):
     def __new__(cls, counts: Iterable[int]) -> "TypeVector":
         counts = tuple(counts)
         for c in counts:
-            if not isinstance(c, int) or c < 0:
+            # a bool count would hash and compare equal to its int
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise InputError(f"type: counts must be nonnegative integers, got {c!r}")
         return tuple.__new__(cls, (counts,))
 

@@ -56,6 +56,28 @@ def test_invert_golden(capsys):
 
 
 
+def test_probe_grid_matches_golden(capsys):
+    # certified by the depth-4 grid with 3 atoms, after a sweep to N = 5
+    code, out, _ = run_cli(
+        capsys, "probe",
+        '{"alphabet":["a","b"],"n":2,"weights":{"2:0":"5/16","1:1":"3/8","0:2":"5/16"}}',
+        "--max-N", "5", "--grid-depth", "4",
+    )
+    assert code == 0
+    assert out == (DATA / "golden_probe_grid.json").read_text()
+
+
+def test_represent_doubling_matches_golden(capsys):
+    # the depth-1 grid cannot represent the law; depth 2 does, at total variation 2
+    code, out, _ = run_cli(
+        capsys, "represent",
+        '{"alphabet":["a","b","c"],"n":2,"weights":{"1:1:0":"1/2","0:0:2":"1/2"}}',
+        "--grid-depth", "1",
+    )
+    assert code == 0
+    assert out == (DATA / "golden_represent_doubling.json").read_text()
+
+
 def test_corpus_all_matches_golden(capsys):
     # also pins the covariance_bound values of the pairs entry
     code, out, _ = run_cli(capsys, "corpus", "all")

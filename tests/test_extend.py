@@ -8,14 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit.corpus import disjoint_pairs_law, dyadic_max_law, urn_without_replacement
+from exchkit.corpus import (
+    coarse_convergence_check,
+    disjoint_pairs_law,
+    dyadic_max_law,
+    urn_without_replacement,
+)
 from exchkit.errors import CapacityError, InputError
 from exchkit.extend import (
     InfiniteOutcome,
     Verdict,
     _staircase_steps,
     _staircase_type_weights,
-    _transport,
     _transport_witness,
     check_extendible,
     corollary_criterion,
@@ -28,6 +32,8 @@ from exchkit.extend import (
 )
 from exchkit.measures import (
     ExchangeableLaw,
+    _marginal,
+    _transport,
     invert_urn,
     marginalize,
     product_law,
@@ -150,13 +156,16 @@ def _inversion_sum(P, N):
 
 
 def _assert_transport_is_the_inversion_sum(P, N):
-    """The signed transport equals the reference entry for entry, and the
-    witness is the reference, keys in sorted order, exactly when it is
-    nonnegative.  Returns whether it was."""
+    """The signed transport equals the reference entry for entry, its
+    marginal is P, and the witness is the reference, keys in sorted order,
+    exactly when it is nonnegative.  Returns whether it was."""
     reference = _inversion_sum(P, N)
-    acc, denominator = _transport(P, N)
+    acc, denominator = _transport(P.weights, P.alphabet.size, N)
     signed = {T(c): Fraction(v, denominator) for c, v in sorted(acc.items()) if v}
     assert signed == reference, (P, N)
+    # the reference shares the transport's relabel; _marginal reads no
+    # inversion table and no urn column
+    assert _marginal(signed, P.alphabet.size, P.n) == dict(P.weights), (P, N)
     witness = _transport_witness(P, N)
     if any(v < 0 for v in reference.values()):
         assert witness is None
@@ -211,7 +220,7 @@ def test_transport_shares_one_table_per_count_pattern(types):
     # one inverted table per N, whichever support the pattern sits on
     assert measures._pattern_table.cache_info().currsize == len(Ns)
     for N in Ns:
-        _transport(P, N)
+        _transport(P.weights, P.alphabet.size, N)
     assert measures._pattern_table.cache_info().misses == len(Ns)
 
 
@@ -616,6 +625,34 @@ def test_probe_refuses_staircase_atoms_that_miss_the_law(monkeypatch):
         probe_infinite(P, 3, 1)
 
 
+def test_probe_refuses_grid_atoms_that_miss_the_law(monkeypatch):
+    # a depth-4 grid optimum with two weights swapped still has total
+    # variation 1, but its atoms no longer reproduce P
+    import dataclasses
+
+    import exchkit.measures as measures
+
+    weights = {T((2, 0)): Fraction(5, 16), T((1, 1)): Fraction(3, 8), T((0, 2)): Fraction(5, 16)}
+    P = ExchangeableLaw(Alphabet.of_size(2), 2, weights)
+
+    def forged(rows, columns):
+        simplex = _Simplex(rows, columns)
+        solve = simplex.solve
+
+        def swapped():
+            out = solve()
+            primal = list(out.primal)
+            primal[0], primal[2] = primal[2], primal[0]  # now 1/2 at (0, 1), 1/6 at (1/2, 1/2)
+            return dataclasses.replace(out, primal=tuple(primal))
+
+        simplex.solve = swapped
+        return simplex
+
+    monkeypatch.setattr(measures, "_Simplex", forged)
+    with pytest.raises(AssertionError, match="grid atoms do not reproduce"):
+        probe_infinite(P, 2, 4)  # N_max = n: no sweep, the grid solves first
+
+
 def test_probe_records_range_and_depth():
     report = probe_infinite(URN, 4, 7)
     assert (report.N_max, report.grid_depth) == (4, 7)
@@ -690,6 +727,11 @@ ONES = SymmetricFunction(COIN.alphabet, 1, {T((1, 0)): Fraction(1), T((0, 1)): F
         ("simplex_grid: depth", lambda v: simplex_grid(2, v)),
         ("urn_law_by_enumeration: n", lambda v: urn_law_by_enumeration(T((1, 1)), v)),
         ("dyadic_max_law: level", lambda v: dyadic_max_law(v, [1, 1])),
+        ("urn_without_replacement: n", lambda v: urn_without_replacement(v, 1)),
+        ("urn_without_replacement: ones", lambda v: urn_without_replacement(3, v)),
+        ("coarse_convergence_check: i", lambda v: coarse_convergence_check([1, 2], v, [1] * 8)),
+        ("coarse_convergence_check: levels",
+         lambda v: coarse_convergence_check([1, v], 1, [1] * 8)),
     ],
 )
 def test_lengths_must_be_integers(name, call, bad):

@@ -84,6 +84,12 @@ def test_type_of_examples():
     assert type_of([1, 1, 1, 2], ABC).counts == (0, 3, 1)
 
 
+def test_type_rejects_bool_counts():
+    # True would hash and compare equal to 1, and print as "True"
+    with pytest.raises(InputError, match="counts must be nonnegative integers, got True"):
+        TypeVector((True, 1))
+
+
 def test_type_of_rejects_bad_index():
     with pytest.raises(InputError):
         type_of([0, 2], AB)
