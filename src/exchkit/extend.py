@@ -2,13 +2,14 @@
 
 The questions answered here, all exactly:
 
-* ``norm_EN(P, N)`` - the norm of the linear functional sending the
-  mass-``N`` symmetrization of ``g`` to ``E_P g``.  It is 1 exactly when
-  ``P`` is the length-``n`` marginal of some exchangeable law on length
-  ``N``, and grows past 1 the moment that fails.
 * ``check_extendible(P, N)`` - decide N-extendibility and hand back either
   an extension law (witness) or a symmetric function violating the norm
   bound (refutation); both sides are machine-checkable.
+* ``norm_EN(P, N)`` - the norm of the linear functional sending the
+  mass-``N`` symmetrization of ``g`` to ``E_P g``: the norm of
+  ``check_extendible``'s checked report.  It is 1 exactly when ``P`` is
+  the length-``n`` marginal of some exchangeable law on length ``N``, and
+  grows past 1 the moment that fails.
 * ``probe_infinite`` - certify infinite extendibility at once when ``P`` is
   a staircase pair law, else sweep N upward looking for a refutation, then
   try to certify by writing ``P`` as a nonnegative mixture of product laws
@@ -34,10 +35,13 @@ integers; this module only refuses a signed result, before it builds any
 ``Fraction``.  The staircase witness is built straight from its steps: a
 type's weight is its multinomial times a tail sum picked by its largest
 symbol, so one walk over the mass-``N`` draws builds the length-``N`` law
-without summing the prefix atoms one by one.  Every fast-path witness is
-verified against the marginal identities before being trusted, and a
-verified one settles ``norm_EN`` as well as ``check_extendible`` without a
-solve.
+without summing the prefix atoms one by one.
+
+There is one decision path, ``check_extendible``, and it checks whatever
+certificate it holds once: a witness (transport, staircase or LP) with
+``marginal_matches``, a refutation with ``symmetrize.apply_U``.  Both
+checks sum over ``measures._draws`` and read no urn column, so neither
+reads what a decider read.
 """
 
 from __future__ import annotations
@@ -62,8 +66,7 @@ from .measures import (
     _urn_column,
     marginalize,
 )
-from .ratlp import LpOutcome
-from .represent import _grid_mixture
+from .represent import _grid_mixture, tv_lower_bound
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import (
     Alphabet,
@@ -131,12 +134,6 @@ class CovarianceBound(NamedTuple):
 # -- shared pieces ---------------------------------------------------------------
 
 
-def _check_target(P: ExchangeableLaw, N: int, caller: str) -> None:
-    if _require_int(N, f"{caller}: N") < P.n:
-        raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
-    ensure_within_cap(type_count(P.alphabet.size, N), "mass-N type space")
-
-
 def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
     """Exact marginal identity: does ``witness`` project onto ``P``?
 
@@ -146,43 +143,6 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
     if witness.alphabet != P.alphabet or witness.n < P.n:
         return False
     return _marginal(witness.weights, P.alphabet.size, P.n) == dict(P.weights)
-
-
-# -- the norm --------------------------------------------------------------------
-
-
-def _norm_program(
-    P: ExchangeableLaw, N: int
-) -> tuple[list[TypeVector], list[Fraction], LpOutcome]:
-    """Solve the norm program over the mass-``N`` urn columns; returns the
-    mass-``N`` types, their optimal weights and the optimal outcome."""
-    nus = enumerate_types(P.alphabet.size, N)
-    weights, out = _min_total_variation(P, len(nus), (_urn_column(nu, P.n) for nu in nus))
-    if weights is None:
-        raise AssertionError("norm: total-variation program must be solvable")
-    if out.objective_value < 1:
-        raise AssertionError("norm: computed value below 1")
-    return nus, weights, out
-
-
-def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
-    """Norm of the extending functional at target length ``N``.
-
-    Equal to the optimum of: maximize ``E_P g`` over symmetric ``g`` with
-    ``|U g| <= 1`` everywhere.  Computed from the dual side - the minimum
-    total variation of a signed combination of urn measures reproducing
-    ``P`` - which has only ``|N_n|`` rows and the identical exact value.
-    Always >= 1, with equality iff ``P`` is N-extendible.
-
-    A constructive witness (see :func:`check_extendible`) pins the norm to
-    1 without a solve, and before the program's size is checked against
-    the cap, so a law the transport settles has a norm at any ``N``
-    whose mass-``N`` types are within the cap.
-    """
-    _check_target(P, N, "norm_EN")
-    if _constructive_witness(P, N) is not None:
-        return Fraction(1)
-    return _norm_program(P, N)[2].objective_value
 
 
 # -- constructive fast paths -------------------------------------------------------
@@ -320,42 +280,7 @@ def mixture_extension(
     return ExchangeableLaw(alphabet, N, _mixture_type_weights(atoms, N))
 
 
-def _verify_witness(witness: ExchangeableLaw, P: ExchangeableLaw) -> None:
-    if not marginal_matches(witness, P):
-        raise AssertionError("extend: witness failed the marginal identity")
-
-
-def _constructive_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
-    """The transport if it is nonnegative, else the staircase mixture at
-    length ``N``, verified against the marginal identities; None when
-    neither applies.  Never solves a program.
-
-    The staircase witness is built from its steps in one walk over the
-    mass-``N`` draws (see :func:`_staircase_type_weights`), not through
-    :func:`mixture_extension`, which would walk every prefix atom
-    separately.  :func:`marginal_matches` reads neither path's tables."""
-    witness = _transport_witness(P, N)
-    if witness is None:
-        steps = _staircase_steps(P)
-        if steps is None:
-            return None
-        witness = ExchangeableLaw(
-            P.alphabet, N, _staircase_type_weights(steps, N, P.alphabet.size)
-        )
-    _verify_witness(witness, P)
-    return witness
-
-
 # -- the decision ------------------------------------------------------------------
-
-
-def _dual_refutation(P: ExchangeableLaw, N: int, out: LpOutcome) -> SymmetricFunction:
-    """The optimal refutation: the negated row duals of the norm program."""
-    mus = enumerate_types(P.alphabet.size, P.n)
-    g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
-    if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != out.objective_value:
-        raise AssertionError("refutation: negated dual is not an optimal refutation")
-    return g
 
 
 def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
@@ -364,10 +289,13 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     Two exact constructions run first, and a witness from either pins the
     norm to 1 without a solve: the witness is a total-variation-1
     reproduction of ``P`` (so norm <= 1) and row stochasticity forces
-    norm >= 1.  Otherwise one solve of the norm program decides: at norm 1
-    its positive part is the witness, above 1 its negated dual is a
-    refutation with ``sup |U g| = 1`` and ``E_P g == norm``.  Every witness
-    is checked against the marginal identities before it is returned.
+    norm >= 1.  They are the nonnegative transport and the staircase
+    witness (see :func:`_staircase_type_weights`).  Otherwise one solve of
+    the norm program decides: at norm 1 its positive part is the witness,
+    above 1 its negated dual is a refutation with ``sup |U g| = 1`` and
+    ``E_P g == norm``.  Each certificate is checked once, a witness by
+    :func:`marginal_matches` and a refutation by ``apply_U``; neither
+    check reads a decider's tables or urn columns.
 
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
@@ -376,19 +304,46 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     cheap, and once those types are more than half the resource cap, the
     only one that runs at all.
     """
-    _check_target(P, N, "check_extendible")
-    witness = _constructive_witness(P, N)
+    if _require_int(N, "check_extendible: N") < P.n:
+        raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
+    k = P.alphabet.size
+    ensure_within_cap(type_count(k, N), "mass-N type space")
+    witness = _transport_witness(P, N)
     if witness is None:
-        nus, weights, out = _norm_program(P, N)
+        steps = _staircase_steps(P)
+        if steps is not None:
+            witness = ExchangeableLaw(P.alphabet, N, _staircase_type_weights(steps, N, k))
+    if witness is None:
+        nus = enumerate_types(k, N)
+        weights, out = _min_total_variation(P, len(nus), (_urn_column(nu, P.n) for nu in nus))
+        if weights is None or out.objective_value < 1:
+            raise AssertionError("norm: the program must have an optimum of at least 1")
         norm = out.objective_value
         if norm > 1:
-            g = _dual_refutation(P, N, out)
+            mus = enumerate_types(k, P.n)
+            g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
+            if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != norm:
+                raise AssertionError("refutation: negated dual is not an optimal refutation")
             return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
         if any(w < 0 for w in weights):
             raise AssertionError("extend: norm-1 optimum has a negative weight")
         witness = ExchangeableLaw(P.alphabet, N, {nu: w for nu, w in zip(nus, weights) if w})
-        _verify_witness(witness, P)
+    if not marginal_matches(witness, P):
+        raise AssertionError("extend: witness failed the marginal identity")
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
+
+
+def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
+    """Norm of the extending functional at target length ``N``.
+
+    Equal to the optimum of: maximize ``E_P g`` over symmetric ``g`` with
+    ``|U g| <= 1`` everywhere.  Always >= 1, with equality iff ``P`` is
+    N-extendible.  It is the norm of :func:`check_extendible`'s report, so
+    every value is certified: 1 by a witness that passed the marginal
+    identities, anything larger by a refutation that passed ``apply_U``.
+    """
+    _require_int(N, "norm_EN: N")
+    return check_extendible(P, N).norm
 
 
 def corollary_criterion(
@@ -404,7 +359,7 @@ def corollary_criterion(
         raise InputError("corollary_criterion: epsilon must be positive")
     if _require_int(N, "corollary_criterion: N") < P.n:
         raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
-    return abs(expectation(P, g)) <= (1 + eps) * sup_norm(apply_U(g, N))
+    return tv_lower_bound(P, g, N) <= 1 + eps
 
 
 def _check_mixture(P: ExchangeableLaw, source: str, atoms: Sequence[Atom]) -> None:

@@ -15,12 +15,14 @@ distribution.  Its weights are the coefficients::
 which form a row-stochastic matrix from mass-``N`` types to mass-``n`` types.
 Row ``nu`` of that matrix is the *urn column* of ``nu``: the sparse list of
 ``(mu, a(nu, mu))`` pairs over the subtypes ``mu`` of ``nu``, built once per
-``(nu, n)`` by ``_urn_column``.  Urn measures, the inversion, the norm
-program and ``apply_U`` read the matrix through it.  The marginal readers
-(``marginalize``, ``reconstruct_check``, ``extend.marginal_matches``) read
-``_marginal``, the one ``n``-marginal of an urn combination, which sums by
-count pattern and reads no urn column; the CLI's brute-force norm program
-computes the coefficients on its own.
+``(nu, n)`` by ``_urn_column``.  The deciders read the matrix through it:
+urn measures, the inversion and the norm program.  The certificate checks
+read ``_draws`` instead, one cached table of the draws of ``n`` from an
+urn of one count pattern, built from binomials alone: ``_marginal``, the
+one ``n``-marginal of an urn combination (read by ``marginalize``,
+``reconstruct_check`` and ``extend.marginal_matches``), and
+``symmetrize.apply_U``, which checks refutations.  The CLI's brute-force
+norm program computes the coefficients on its own.
 
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
@@ -56,7 +58,7 @@ from operator import itemgetter, le
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .caps import ensure_within_cap
+from .caps import ensure_within_cap, resource_cap
 from .errors import InputError
 from .ratlp import LpOutcome, LpStatus, _Simplex
 from .typespace import (
@@ -275,19 +277,31 @@ def _type_weights(
     return out
 
 
+@lru_cache(maxsize=None)
+def _draws(pattern: tuple[int, ...], n: int) -> tuple[tuple[itemgetter, tuple, int], ...]:
+    """The draws of ``n`` from an urn whose nonzero counts are ``pattern``
+    (in symbol order), one per mass-``n`` local draw: an ``itemgetter`` over
+    the urn slots it touches, its nonzero counts and its number of ways.
+    Built from binomials alone; reads no urn column."""
+    return tuple(
+        (itemgetter(*[j for j, m in enumerate(local) if m]), tuple(filter(None, local)),
+         math.prod(map(math.comb, pattern, local)))
+        for local in _compositions(n, len(pattern))
+        if all(map(le, local, pattern))
+    )
+
+
 def _marginal(weights: WeightMap, k: int, n: int) -> dict[TypeVector, Fraction]:
     """Type weights of ``sum_nu weights[nu] * urn(nu, n)``, the one
     mass-``n`` marginal of an urn combination; reads no urn column.
 
     The weights may have either sign, on width-``k`` types of one mass
     ``N >= n`` (read once).  The draws of ``n`` from an urn depend only on
-    its count pattern (its nonzero counts, in symbol order), so each
-    pattern met gets one table: per mass-``n`` local draw, an
-    ``itemgetter`` over the urn slots it touches, its nonzero counts and
-    its number of ways.  The weights, as integers over their common
-    denominator ``L``, are summed per draw by the symbols its slots land
-    on, and each sum is multiplied by the draw's ways once; ``mu`` weighs
-    its total over ``L * C(N, n)``.  Zeros are dropped, types increase.
+    its count pattern, so each pattern met reads its :func:`_draws` table.
+    The weights, as integers over their common denominator ``L``, are
+    summed per draw by the symbols its slots land on, and each sum is
+    multiplied by the draw's ways once; ``mu`` weighs its total over
+    ``L * C(N, n)``.  Zeros are dropped, types increase.
     """
     if not weights:
         return {}
@@ -307,12 +321,10 @@ def _marginal(weights: WeightMap, k: int, n: int) -> dict[TypeVector, Fraction]:
         table = tables.get(pattern)
         if table is None:
             table = tables[pattern] = []
-            for local in _compositions(n, len(pattern)):
-                if all(map(le, local, pattern)):
-                    sums: dict = {}
-                    table.append((itemgetter(*[j for j, m in enumerate(local) if m]), sums))
-                    ways = math.prod(map(math.comb, pattern, local))
-                    entries.append((tuple(filter(None, local)), ways, sums))
+            for get, local, ways in _draws(pattern, n):
+                sums: dict = {}
+                table.append((get, sums))
+                entries.append((local, ways, sums))
         sup = list(itertools.compress(positions, counts))
         q_int = q.numerator * (common // q.denominator)
         for get, sums in table:
@@ -448,13 +460,14 @@ def _transport(weights: WeightMap, k: int, N: int) -> tuple[dict[tuple[int, ...]
     local slot ``j`` goes to the ``j``-th symbol of :func:`_support_order`,
     values unchanged.  Each (type, entry) product is an integer over
     ``T = lcm(w.den * table den)``.  The ``urn inversion types`` cap is
-    checked on every lookup: a table cached under a larger cap does not
-    carry a caller past a cap lowered since.
+    read once per call and checked on every lookup: a table cached under a
+    larger cap does not carry a caller past a cap lowered since.
     """
     placed = []
+    cap = resource_cap()
     for mu, w in weights.items():
         sup, pattern = _support_order(mu.counts)
-        ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types")
+        ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types", cap)
         placed.append((sup, w, _pattern_table(pattern, N)))
     denominator = math.lcm(*(w.denominator * den for _, w, (den, _) in placed))
     acc: dict[tuple[int, ...], int] = {}

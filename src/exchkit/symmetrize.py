@@ -13,10 +13,16 @@ has trivial kernel on type functions: if ``U g`` vanishes identically then
 ``g`` does.  The last fact is what makes "expected value of g" a well
 defined function of ``U g`` and is the hinge of every decision procedure
 downstream.
+
+``apply_U`` checks every refutation, so it reads nothing a decider reads:
+it sums in integers over the count-pattern draw tables of
+``measures._draws``, not over the urn columns of the norm program.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -24,7 +30,7 @@ from typing import Mapping
 
 from .caps import ensure_within_cap
 from .errors import InputError
-from .measures import ExchangeableLaw, _urn_column
+from .measures import ExchangeableLaw, _draws
 from .typespace import (
     Alphabet,
     TypeVector,
@@ -97,20 +103,40 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     """Average ``g`` over ``g.m`` draws without replacement from each
     mass-``N`` composition; output value at ``nu`` is
     ``sum_mu a(nu, mu) g(mu)``.
+
+    Summed in integers over ``L * C(N, n)``, with ``L`` the lcm of the
+    denominators of ``g``: each ``nu`` reads the
+    :func:`~exchkit.measures._draws` table of its count pattern and adds
+    the draw's ways times ``g``'s numerator at the type it lands on.  No
+    urn column is read, so a refutation is checked independently of the
+    program it came from.
     """
     n = g.m
     if _require_int(N, "apply_U: N") < n:
         raise InputError(f"apply_U: need N >= m, got N={N} < m={n}")
     k = g.alphabet.size
     ensure_within_cap(type_count(k, N), "mass-N type space")
+    common = math.lcm(*(v.denominator for v in g.values.values()))
+    # g's nonzero numerators, keyed like a draw: (nonzero counts, symbols),
+    # one symbol bare, as a one-slot itemgetter returns it
+    numerators = {}
+    for mu, v in g.values.items():
+        if v:
+            sup = [i for i, c in enumerate(mu.counts) if c]
+            key = (tuple(filter(None, mu.counts)), sup[0] if len(sup) == 1 else tuple(sup))
+            numerators[key] = v.numerator * (common // v.denominator)
+    denominator = common * math.comb(N, n)
+    positions = range(k)
     out: dict[TypeVector, Fraction] = {}
     for nu in enumerate_types(k, N):
-        acc = Fraction(0)
-        for mu, a in _urn_column(nu, n):
-            gv = g.values[mu]
-            if gv:
-                acc += a * gv
-        out[nu] = acc
+        counts = nu.counts
+        sup = list(itertools.compress(positions, counts))
+        total = 0
+        for get, local, ways in _draws(tuple(filter(None, counts)), n):
+            v = numerators.get((local, get(sup)))
+            if v:
+                total += ways * v
+        out[nu] = Fraction(total, denominator)
     return SymmetricFunction(g.alphabet, N, out)
 
 

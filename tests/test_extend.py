@@ -317,6 +317,67 @@ def test_norm_program_over_the_cap_is_never_built(monkeypatch):
         norm_EN(URN, 12)
 
 
+K3N3 = ExchangeableLaw(
+    Alphabet.of_size(3), 3, {T((1, 1, 1)): Fraction(1, 2), T((3, 0, 0)): Fraction(1, 2)}
+)
+
+
+def test_norm_is_the_checked_decision(monkeypatch):
+    # a simplex whose optimum is off by one: the refutation check refuses
+    # it, and norm_EN answers nothing that check_extendible would refuse
+    import dataclasses
+
+    import exchkit.measures as measures
+
+    def off_by_one(rows, columns):
+        simplex = _Simplex(rows, columns)
+        solve = simplex.solve
+
+        def shifted():
+            out = solve()
+            return dataclasses.replace(out, objective_value=out.objective_value - 1)
+
+        simplex.solve = shifted
+        return simplex
+
+    assert norm_EN(URN, 3) == 2
+    monkeypatch.setattr(measures, "_Simplex", off_by_one)
+    with pytest.raises(AssertionError, match="not an optimal refutation"):
+        check_extendible(URN, 3)
+    with pytest.raises(AssertionError, match="not an optimal refutation"):
+        norm_EN(URN, 3)
+
+
+def test_certificate_checks_read_no_urn_column(monkeypatch):
+    # Urn columns with their first two coefficients swapped mislead every
+    # decider that reads them (the norm program and the inversion peel).
+    # The refutation check sums its own draw table, so it refuses what
+    # they decide; the witness check never read them.
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+    import exchkit.symmetrize as symmetrize
+
+    real = measures._urn_column
+
+    def swapped(nu, n):
+        column = list(real(nu, n))
+        if len(column) > 1:
+            (mu0, a0), (mu1, a1) = column[:2]
+            column[:2] = [(mu0, a1), (mu1, a0)]
+        return tuple(column)
+
+    cases = ((URN, 3), (URN, 4), (K3N3, 5))
+    assert [norm_EN(P, N) for P, N in cases] == [2, 2, Fraction(8, 3)]
+    measures._pattern_table.cache_clear()  # peeled again from the swapped columns
+    monkeypatch.setattr(measures, "_urn_column", swapped)
+    monkeypatch.setattr(extend, "_urn_column", swapped)
+    monkeypatch.setattr(symmetrize, "_urn_column", swapped, raising=False)
+    for P, N in cases:
+        for decide in (check_extendible, norm_EN):
+            with pytest.raises(AssertionError):
+                decide(P, N)
+
+
 def test_staircase_mixture_detection():
     law, decomposition = dyadic_max_law(1, [1, Fraction(1, 2)])
     atoms = staircase_mixture(law)

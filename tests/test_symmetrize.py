@@ -126,6 +126,58 @@ def test_adjoint_identity():
                 assert expectation(law, g) == lifted.values[nu]
 
 
+def _brute_U(g, N):
+    """(U g)(nu) as the sum of urn_coefficient(nu, mu) * g(mu) over every
+    mass-m type mu, in Fractions."""
+    mus = enumerate_types(g.alphabet.size, g.m)
+    return {
+        nu: sum((urn_coefficient(nu, mu) * g.values[mu] for mu in mus), Fraction(0))
+        for nu in enumerate_types(g.alphabet.size, N)
+    }
+
+
+def test_apply_U_equals_the_brute_urn_sum():
+    rng = random.Random(29)
+    seen = set()
+    for k in (1, 2, 3):
+        alphabet = Alphabet.of_size(k)
+        for n in (1, 2, 3):
+            for _ in range(3):
+                g = SymmetricFunction(alphabet, n, {
+                    mu: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+                    for mu in enumerate_types(k, n)
+                })
+                values = list(g.values.values())
+                seen.update(("zero" for v in values if v == 0))
+                seen.update(("negative" for v in values if v < 0))
+                if len({v.denominator for v in values if v}) > 1:
+                    seen.add("mixed denominators")
+                for N in range(n, n + 4):
+                    assert dict(apply_U(g, N).values) == _brute_U(g, N), (k, n, N)
+            zero = SymmetricFunction.constant(alphabet, n, Fraction(0))
+            assert apply_U(zero, n + 2).is_zero()
+    assert seen == {"zero", "negative", "mixed denominators"}
+
+
+def test_apply_U_reads_no_urn_column(monkeypatch):
+    import sys
+
+    rng = random.Random(31)
+    cases = [(random_function(rng, Alphabet.of_size(k), n), N)
+             for k, n, N in ((2, 2, 3), (3, 2, 5), (3, 3, 4), (4, 2, 4))]
+    expected = [_brute_U(g, N) for g, N in cases]
+
+    def unavailable(*args):
+        raise AssertionError("apply_U read an urn column")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("exchkit") and hasattr(module, "_urn_column"):
+            monkeypatch.setattr(module, "_urn_column", unavailable)
+    for (g, N), values in zip(cases, expected):
+        assert dict(apply_U(g, N).values) == values
+    assert sup_norm(apply_U(SPIKE, 3)) == 1
+
+
 def test_sparse_construction_and_totality():
     g = SymmetricFunction.from_values(AB, 2, {T((1, 1)): Fraction(1)})
     assert g.values[T((2, 0))] == 0
