@@ -11,7 +11,8 @@ The questions answered here, all exactly:
   the length-``n`` marginal of some exchangeable law on length ``N``, and
   grows past 1 the moment that fails.
 * ``probe_infinite`` - certify infinite extendibility at once when ``P`` is
-  a staircase pair law, else sweep N upward looking for a refutation, then
+  a staircase pair law or an i.i.d. law (its one-coordinate marginal is
+  the single atom), else sweep N upward looking for a refutation, then
   try to certify by writing ``P`` as a nonnegative mixture of product laws
   on a rational grid (the grid program of ``represent._grid_mixture``).
 * ``covariance_bound`` - the classical pairwise-covariance necessary
@@ -66,7 +67,7 @@ from .measures import (
     _urn_column,
     marginalize,
 )
-from .represent import _grid_mixture, tv_lower_bound
+from .represent import SignedMixture, _grid_mixture, tv_lower_bound
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from .typespace import (
     Alphabet,
@@ -269,15 +270,25 @@ def mixture_extension(
 ) -> ExchangeableLaw:
     """The length-``N`` law of a nonnegative product mixture.
 
-    All atoms are summed over one common denominator (see
+    The atoms are checked first: ``SignedMixture``'s checks, then
+    nonnegative weights summing to 1 and one slot per symbol of
+    ``alphabet``; each fault raises an ``InputError`` naming it.  All atoms
+    are summed over one common denominator (see
     :func:`~exchkit.measures._mixture_type_weights`); every weight of the
     returned law is still a ``Fraction``.
     """
     _require_int(N, "mixture_extension: N")
-    ensure_within_cap(type_count(alphabet.size, N), "mass-N type space")
-    if any(w < 0 for w, _ in atoms):
+    mix = SignedMixture(tuple(atoms))  # probability-vector atoms of one width
+    if any(w < 0 for w, _ in mix.atoms):
         raise InputError("mixture_extension: weights must be nonnegative")
-    return ExchangeableLaw(alphabet, N, _mixture_type_weights(atoms, N))
+    if mix.total_mass != 1:
+        raise InputError(f"mixture_extension: weights must sum to 1, got {mix.total_mass}")
+    if mix.width != alphabet.size:
+        raise InputError(
+            f"mixture_extension: atoms have width {mix.width}, alphabet has {alphabet.size}"
+        )
+    ensure_within_cap(type_count(alphabet.size, N), "mass-N type space")
+    return ExchangeableLaw(alphabet, N, _mixture_type_weights(mix.atoms, N))
 
 
 # -- the decision ------------------------------------------------------------------
@@ -369,17 +380,30 @@ def _check_mixture(P: ExchangeableLaw, source: str, atoms: Sequence[Atom]) -> No
         raise AssertionError(f"probe: {source} atoms do not reproduce the law")
 
 
+def _iid_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
+    """The single atom ``(1, theta)`` when ``P`` is the i.i.d. law
+    ``theta^{(x)n}``, else None.  Only ``P``'s own one-coordinate marginal
+    ``theta_a = sum_mu P(mu) * mu_a / n`` can be that ``theta``."""
+    theta = tuple(
+        sum((w * tau.counts[a] for tau, w in P.weights.items()), Fraction(0)) / P.n
+        for a in range(P.alphabet.size)
+    )
+    atoms = ((Fraction(1), theta),)
+    return atoms if _mixture_type_weights(atoms, P.n) == dict(P.weights) else None
+
+
 def probe_infinite(
     P: ExchangeableLaw, N_max: int, grid_depth: int
 ) -> InfiniteReport:
     """Probe infinite extendibility within a finite budget.
 
-    Step 1 asks for the staircase certificate (exact, grid-free): a
+    Step 1 asks for the exact, grid-free certificates: the staircase
+    mixture, then the single i.i.d. atom (de Finetti's extreme points).  A
     nonnegative product mixture extends ``P`` to every N, so no sweep could
     refute it.  Step 2 sweeps N upward and reports the first refutation.
     Step 3 tries to certify by the grid LP at ``grid_depth`` and once more
     at double depth; it comes last because its programs cost far more than
-    a refutation at small N.  Either certificate's atoms are checked
+    a refutation at small N.  Every certificate's atoms are checked
     against ``P`` before they are returned.  Grid infeasibility proves
     nothing, hence UNKNOWN; but a sweep stopped by the cap raises its
     ``CapacityError`` unless the grid certifies.
@@ -388,10 +412,11 @@ def probe_infinite(
         raise InputError(f"probe: need N_max >= n, got {N_max} < {P.n}")
     if _require_int(grid_depth, "probe_infinite: grid_depth") < 1:
         raise InputError("probe: grid_depth must be >= 1")
-    atoms = staircase_mixture(P)
-    if atoms is not None:
-        _check_mixture(P, "staircase", atoms)
-        return InfiniteReport(InfiniteOutcome.CERTIFIED_INFINITE, N_max, grid_depth, atoms)
+    for source, certify in (("staircase", staircase_mixture), ("i.i.d.", _iid_mixture)):
+        atoms = certify(P)
+        if atoms is not None:
+            _check_mixture(P, source, atoms)
+            return InfiniteReport(InfiniteOutcome.CERTIFIED_INFINITE, N_max, grid_depth, atoms)
     capped = None
     try:
         for N in range(P.n + 1, N_max + 1):

@@ -9,9 +9,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from exchkit.extend import ExtendReport, Verdict, marginal_matches
+from exchkit.extend import ExtendReport, InfiniteOutcome, InfiniteReport, Verdict, marginal_matches
 from exchkit.measures import ExchangeableLaw
 from exchkit.ratlp import LinearProgram
+from exchkit.represent import SignedMixture, reconstruct
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, enumerate_types
 
@@ -86,3 +87,28 @@ def assert_report_certified(P: ExchangeableLaw, report: ExtendReport) -> None:
         g = report.refutation
         assert sup_norm(apply_U(g, report.N)) == 1
         assert expectation(P, g) == report.norm
+
+
+def assert_probe_certified(P: ExchangeableLaw, report: InfiniteReport) -> None:
+    """Independent re-check of an infinite-extendibility probe's report.
+
+    A certificate must be a nonnegative product mixture of total variation
+    1 that reproduces ``P``; a refutation must carry a checked failing
+    report at ``failing_N``; ``UNKNOWN`` must carry nothing.
+    """
+    if report.outcome is InfiniteOutcome.CERTIFIED_INFINITE:
+        assert report.failing_N is None and report.failing_report is None
+        assert report.grid_depth_used in (None, report.grid_depth, 2 * report.grid_depth)
+        mix = SignedMixture(report.mixture)
+        assert all(w >= 0 for w, _ in mix.atoms) and mix.total_variation == 1
+        assert reconstruct(mix, P.n) == dict(P.weights)
+    elif report.outcome is InfiniteOutcome.REFUTED_AT:
+        assert report.mixture is None and report.grid_depth_used is None
+        failing = report.failing_report
+        assert failing is not None and failing.verdict is Verdict.NOT_EXTENDIBLE
+        assert report.failing_N == failing.N and P.n < failing.N <= report.N_max
+        assert_report_certified(P, failing)
+    else:
+        assert report.outcome is InfiniteOutcome.UNKNOWN
+        assert report.mixture is None and report.grid_depth_used is None
+        assert report.failing_N is None and report.failing_report is None

@@ -30,11 +30,18 @@ from exchkit.measures import (
 )
 from exchkit.oracle import solve_lp_by_enumeration, urn_law_by_enumeration
 from exchkit.ratlp import LpStatus, solve, verify
-from exchkit.represent import SignedMixture, reconstruct, signed_mixture
+from exchkit.represent import reconstruct, signed_mixture
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, TypeVector, enumerate_types
 
-from helpers import assert_report_certified, random_function, random_law, random_lp, random_theta
+from helpers import (
+    assert_probe_certified,
+    assert_report_certified,
+    random_function,
+    random_law,
+    random_lp,
+    random_theta,
+)
 
 T = TypeVector
 
@@ -88,7 +95,7 @@ def test_criterion_2_disjoint_pairs_covariance_and_refutation():
         assert report.outcome is InfiniteOutcome.REFUTED_AT
         assert report.failing_N is not None and report.failing_N <= 12
         assert report.failing_N == 3  # frozen value from the probe itself
-        assert_report_certified(law, report.failing_report)
+        assert_probe_certified(law, report)
 
 
 def test_criterion_3_inversion_identity_sweep():
@@ -148,9 +155,7 @@ def test_criterion_6_product_laws_certified_everywhere():
             depth = max(t.denominator for t in theta)
             probe = probe_infinite(law, n + 2, depth)
             assert probe.outcome is InfiniteOutcome.CERTIFIED_INFINITE
-            atoms = SignedMixture(probe.mixture)
-            assert atoms.total_variation == 1
-            assert reconstruct(atoms, n) == dict(law.weights)
+            assert_probe_certified(law, probe)
             mix = signed_mixture(law, depth)
             assert mix.total_variation == 1
             assert reconstruct(mix, n) == dict(law.weights)

@@ -67,6 +67,18 @@ def test_probe_grid_matches_golden(capsys):
     assert out == (DATA / "golden_probe_grid.json").read_text()
 
 
+def test_probe_iid_matches_golden(capsys):
+    # (1/3, 2/3)^2 is on neither the depth-1 nor the depth-2 grid: its
+    # one-coordinate marginal certifies it, so no grid depth is used
+    code, out, _ = run_cli(
+        capsys, "probe",
+        '{"alphabet":["a","b"],"n":2,"weights":{"2:0":"1/9","1:1":"4/9","0:2":"4/9"}}',
+        "--max-N", "8", "--grid-depth", "1",
+    )
+    assert code == 0
+    assert out == (DATA / "golden_probe_iid.json").read_text()
+
+
 def test_represent_doubling_matches_golden(capsys):
     # the depth-1 grid cannot represent the law; depth 2 does, at total variation 2
     code, out, _ = run_cli(

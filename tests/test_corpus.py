@@ -20,8 +20,10 @@ from exchkit.extend import (
     mixture_extension,
     probe_infinite,
 )
-from exchkit.represent import SignedMixture, reconstruct
+from exchkit.represent import reconstruct
 from exchkit.typespace import TypeVector
+
+from helpers import assert_probe_certified
 
 T = TypeVector
 
@@ -49,7 +51,7 @@ def test_degenerate_urn_is_certified_infinite(n, ones):
     law = urn_without_replacement(n, ones)
     report = probe_infinite(law, n + 2, 1)
     assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
-    assert sum((w for w, _ in report.mixture), Fraction(0)) == 1
+    assert_probe_certified(law, report)
 
 
 def test_disjoint_pairs_claims():
@@ -67,6 +69,7 @@ def test_disjoint_pairs_claims():
     assert report.outcome is InfiniteOutcome.REFUTED_AT
     assert 2 < report.failing_N <= 12
     assert report.failing_N == 3  # frozen after cross-verifying the certificate
+    assert_probe_certified(law, report)
 
 
 def test_dyadic_level1_hand_values():
@@ -108,10 +111,7 @@ def test_dyadic_probe_small_grid():
     law, _ = dyadic_max_law(1, [1, Fraction(1, 2)])
     report = probe_infinite(law, 4, 2)
     assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
-    assert report.mixture is not None
-    assert all(w >= 0 for w, _ in report.mixture)
-    assert sum((w for w, _ in report.mixture), Fraction(0)) == 1
-    assert reconstruct(SignedMixture(report.mixture), 2) == dict(law.weights)
+    assert_probe_certified(law, report)
 
 
 def test_dyadic_validation():

@@ -55,7 +55,7 @@ from exchkit.typespace import (
     type_of,
 )
 
-from helpers import assert_report_certified, random_law, random_theta
+from helpers import assert_probe_certified, assert_report_certified, random_law, random_theta
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
@@ -627,6 +627,27 @@ def test_mixture_extension_respects_cap(monkeypatch):
     assert mixture_extension(atoms, 3, URN.alphabet).n == 3
 
 
+@pytest.mark.parametrize(
+    "atoms, fault",
+    [
+        ((), "mixture_extension: weights must sum to 1, got 0"),
+        (((Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2))),),
+         "mixture_extension: weights must sum to 1, got 1/2"),
+        (((Fraction(2), (Fraction(1), Fraction(0))),
+          (Fraction(-1), (Fraction(0), Fraction(1)))), "weights must be nonnegative"),
+        (((Fraction(1), (Fraction(0), Fraction(0), Fraction(1))),), "atoms have width 3"),
+        (((Fraction(1), (Fraction(1, 3), Fraction(1, 3))),), "not a probability vector"),
+        (((Fraction(1, 2), (Fraction(1),)),
+          (Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2)))), "different alphabets"),
+    ],
+    ids=["empty", "mass", "negative", "width", "theta", "mixed-widths"],
+)
+def test_mixture_extension_validates_its_atoms(atoms, fault):
+    # each fault is named up front, not met later as a law error about a type
+    with pytest.raises(InputError, match=fault):
+        mixture_extension(atoms, 3, URN.alphabet)
+
+
 def test_corollary_criterion_examples():
     one = SymmetricFunction.constant(URN.alphabet, 2, Fraction(1))
     assert corollary_criterion(URN, one, 3, Fraction(1, 7))
@@ -638,31 +659,104 @@ def test_corollary_criterion_examples():
         corollary_criterion(URN, one, 3, Fraction(0))
 
 
+# Half (1/4, 3/4)^2 and half (1/2, 1/2)^2: infinitely extendible but
+# neither a staircase nor an i.i.d. law, so its probes reach the sweep and
+# the grid search.
+MIXED = ExchangeableLaw(
+    Alphabet.of_size(2),
+    2,
+    {T((2, 0)): Fraction(5, 32), T((1, 1)): Fraction(7, 16), T((0, 2)): Fraction(13, 32)},
+)
+
+
 def test_probe_product_certifies_with_single_atom():
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 3)
     report = probe_infinite(P, 8, 2)
     assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
     assert report.mixture == ((Fraction(1), (Fraction(1, 2), Fraction(1, 2))),)
-    assert report.grid_depth_used == 2
+    assert report.grid_depth_used is None
+    assert_probe_certified(P, report)
 
 
 def test_probe_urn_refutes_at_first_target():
     report = probe_infinite(URN, 5, 2)
     assert report.outcome is InfiniteOutcome.REFUTED_AT
     assert report.failing_N == 3
-    assert report.failing_report is not None
-    assert_report_certified(URN, report.failing_report)
+    assert_probe_certified(URN, report)
 
 
 def test_probe_unknown_on_coarse_grid():
     # extendible at small N but not a mixture on the depth-1 grid, and the
     # single doubling to depth 2 still misses it: honest UNKNOWN
-    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
-    report = probe_infinite(P, 3, 1)
+    report = probe_infinite(MIXED, 3, 1)
     assert report.outcome is InfiniteOutcome.UNKNOWN
     assert report.mixture is None and report.failing_N is None
-    # a grid that contains theta certifies
-    assert probe_infinite(P, 3, 3).outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert_probe_certified(MIXED, report)
+    # a grid that contains both atoms certifies
+    report = probe_infinite(MIXED, 3, 4)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.grid_depth_used == 4
+    assert_probe_certified(MIXED, report)
+
+
+def test_probe_certifies_an_iid_law_before_the_sweep(monkeypatch):
+    # theta = (1/3, 2/3) is on neither the depth-1 nor the depth-2 grid; the
+    # law's one-coordinate marginal certifies it with no decision and no LP
+    import exchkit.extend as extend
+
+    def unreachable(*args):
+        raise AssertionError("the i.i.d. step must certify first")
+
+    monkeypatch.setattr(extend, "check_extendible", unreachable)
+    monkeypatch.setattr(extend, "_grid_mixture", unreachable)
+    theta = (Fraction(1, 3), Fraction(2, 3))
+    P = product_law(theta, 2)
+    report = probe_infinite(P, 3, 1)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.mixture == ((Fraction(1), theta),)
+    assert report.grid_depth_used is None and report.failing_N is None
+    assert_probe_certified(P, report)
+
+
+def test_probe_certifies_an_iid_law_past_the_cap(monkeypatch):
+    # a sweep would outgrow the cap at N = 10; the single atom holds for every N
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    monkeypatch.setenv("EXCHKIT_CAP", "20")
+    report = probe_infinite(P, 10**6, 1)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.mixture == ((Fraction(1), (Fraction(1, 3), Fraction(2, 3))),)
+    assert_probe_certified(P, report)
+
+
+@pytest.mark.parametrize(
+    "theta, n",
+    [
+        ((Fraction(1, 3), Fraction(2, 3)), 1),  # every length-1 law is i.i.d.
+        ((Fraction(1, 5), Fraction(0), Fraction(4, 5)), 3),  # a zero slot stays in theta
+    ],
+    ids=["n1", "k3-zero-slot"],
+)
+def test_probe_iid_atom_is_the_one_marginal(monkeypatch, theta, n):
+    import exchkit.extend as extend
+
+    # with no grid to fall back on, only the i.i.d. step can certify
+    monkeypatch.setattr(extend, "_grid_mixture", lambda law, depth: None)
+    P = product_law(theta, n)
+    report = probe_infinite(P, n + 2, 1)
+    assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
+    assert report.mixture == ((Fraction(1), theta),)
+    assert report.grid_depth_used is None
+    assert_probe_certified(P, report)
+
+
+def test_probe_refuses_iid_atoms_that_miss_the_law(monkeypatch):
+    import exchkit.extend as extend
+
+    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    forged = ((Fraction(1), (Fraction(2, 3), Fraction(1, 3))),)
+    monkeypatch.setattr(extend, "_iid_mixture", lambda law: forged)
+    with pytest.raises(AssertionError, match="i.i.d. atoms do not reproduce"):
+        probe_infinite(P, 3, 1)
 
 
 def test_probe_certifies_a_staircase_law_before_the_sweep(monkeypatch):
@@ -674,6 +768,7 @@ def test_probe_certifies_a_staircase_law_before_the_sweep(monkeypatch):
     assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
     assert report.mixture == ((Fraction(1), (Fraction(1, 2), Fraction(1, 2))),)
     assert report.failing_N is None and report.grid_depth_used is None
+    assert_probe_certified(P, report)
 
 
 def test_probe_refuses_staircase_atoms_that_miss_the_law(monkeypatch):
@@ -717,6 +812,7 @@ def test_probe_refuses_grid_atoms_that_miss_the_law(monkeypatch):
 def test_probe_records_range_and_depth():
     report = probe_infinite(URN, 4, 7)
     assert (report.N_max, report.grid_depth) == (4, 7)
+    assert_probe_certified(URN, report)
 
 
 def test_probe_validation_and_capacity(monkeypatch):
@@ -727,31 +823,30 @@ def test_probe_validation_and_capacity(monkeypatch):
     from exchkit.errors import CapacityError
 
     monkeypatch.setenv("EXCHKIT_CAP", "4")
-    with pytest.raises(CapacityError):
-        # not a staircase law, so the probe must reach the grid search
-        probe_infinite(product_law((Fraction(1, 3), Fraction(2, 3)), 2), 2, 9)
+    with pytest.raises(CapacityError, match="simplex grid: size 10"):
+        # neither staircase nor i.i.d., so the probe must reach the grid search
+        probe_infinite(MIXED, 2, 9)
 
 
 
 def test_probe_certifies_by_grid_when_the_sweep_hits_the_cap(monkeypatch):
     # the sweep's norm program outgrows the cap at N = 10 (2 * 11 columns),
-    # but theta is on the depth-3 grid, whose certificate holds for every N
-    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
+    # but both atoms are on the depth-4 grid, whose certificate holds for
+    # every N
     monkeypatch.setenv("EXCHKIT_CAP", "20")
-    report = probe_infinite(P, 30, 3)
+    report = probe_infinite(MIXED, 30, 4)
     assert report.outcome is InfiniteOutcome.CERTIFIED_INFINITE
-    assert report.mixture == ((Fraction(1), (Fraction(1, 3), Fraction(2, 3))),)
-    assert report.grid_depth_used == 3 and report.failing_N is None
+    assert report.grid_depth_used == 4 and report.failing_N is None
+    assert_probe_certified(MIXED, report)
 
 
 def test_probe_reraises_the_sweeps_cap_without_a_grid_certificate(monkeypatch):
     import exchkit.extend as extend
 
-    P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
     monkeypatch.setenv("EXCHKIT_CAP", "20")
     monkeypatch.setattr(extend, "_grid_mixture", lambda law, depth: None)
     with pytest.raises(CapacityError, match="lp dimensions: size 22"):
-        probe_infinite(P, 30, 3)  # never UNKNOWN for an unfinished sweep
+        probe_infinite(MIXED, 30, 4)  # never UNKNOWN for an unfinished sweep
 
 
 # A length-1 law: ``True`` passes every range check as 1, so only the type

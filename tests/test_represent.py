@@ -18,7 +18,7 @@ from exchkit.represent import (
 from exchkit.symmetrize import SymmetricFunction
 from exchkit.typespace import TypeVector
 
-from helpers import random_law, random_theta
+from helpers import assert_probe_certified, random_law, random_theta
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
@@ -155,6 +155,7 @@ def test_probability_mixture_consistency():
         law = product_law(theta, n)
         depth = max(t.denominator for t in theta)
         probe = probe_infinite(law, n + 2, depth)
+        assert_probe_certified(law, probe)
         if probe.outcome is InfiniteOutcome.CERTIFIED_INFINITE:
             mix = signed_mixture(law, depth)
             assert mix.total_variation == 1
