@@ -24,7 +24,9 @@ the marginal identities; one signed weight per urn).  Its optimum is the
 norm.  At norm 1 the weights are the witness, since urn columns sum to 1
 and so leave no room for a negative weight.  Above 1 the negated row duals
 are the optimal refutation: a symmetric ``g`` with ``sup |U g| = 1`` and
-``E_P g`` equal to the norm.
+``E_P g`` equal to the norm, which bounds the norm from below; the signed
+weights, reproducing ``P`` at total variation equal to the norm, bound it
+from above.
 
 Two exact constructive fast paths run before the LP: the triangular
 inversion transport of ``P`` (when its coefficients happen to be
@@ -40,9 +42,10 @@ without summing the prefix atoms one by one.
 
 There is one decision path, ``check_extendible``, and it checks whatever
 certificate it holds once: a witness (transport, staircase or LP) with
-``marginal_matches``, a refutation with ``symmetrize.apply_U``.  Both
-checks sum over ``measures._draws`` and read no urn column, so neither
-reads what a decider read.
+``marginal_matches``, a refutation with ``symmetrize.apply_U`` and its
+signed weights with ``measures._marginal``.  These checks sum over
+``measures._draws`` and read no urn column, so none reads what a decider
+read.
 """
 
 from __future__ import annotations
@@ -305,8 +308,11 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     the norm program decides: at norm 1 its positive part is the witness,
     above 1 its negated dual is a refutation with ``sup |U g| = 1`` and
     ``E_P g == norm``.  Each certificate is checked once, a witness by
-    :func:`marginal_matches` and a refutation by ``apply_U``; neither
-    check reads a decider's tables or urn columns.
+    :func:`marginal_matches`.  A refuted norm is checked from both sides:
+    from below by the refutation through ``apply_U``, and from above by
+    the signed weights, whose marginal must be ``P`` and whose total
+    variation must be the norm.  No check reads a decider's tables or urn
+    columns.
 
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
@@ -330,15 +336,19 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
         if weights is None or out.objective_value < 1:
             raise AssertionError("norm: the program must have an optimum of at least 1")
         norm = out.objective_value
+        signed = {nu: w for nu, w in zip(nus, weights) if w}
         if norm > 1:
             mus = enumerate_types(k, P.n)
             g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
             if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != norm:
                 raise AssertionError("refutation: negated dual is not an optimal refutation")
+            if (_marginal(signed, k, P.n) != dict(P.weights)
+                    or sum(map(abs, signed.values())) != norm):
+                raise AssertionError("refutation: signed weights do not reproduce P at the norm")
             return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
-        if any(w < 0 for w in weights):
+        if any(w < 0 for w in signed.values()):
             raise AssertionError("extend: norm-1 optimum has a negative weight")
-        witness = ExchangeableLaw(P.alphabet, N, {nu: w for nu, w in zip(nus, weights) if w})
+        witness = ExchangeableLaw(P.alphabet, N, signed)
     if not marginal_matches(witness, P):
         raise AssertionError("extend: witness failed the marginal identity")
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
@@ -351,7 +361,9 @@ def norm_EN(P: ExchangeableLaw, N: int) -> Fraction:
     ``|U g| <= 1`` everywhere.  Always >= 1, with equality iff ``P`` is
     N-extendible.  It is the norm of :func:`check_extendible`'s report, so
     every value is certified: 1 by a witness that passed the marginal
-    identities, anything larger by a refutation that passed ``apply_U``.
+    identities, anything larger from below by a refutation that passed
+    ``apply_U`` and from above by signed weights that reproduce ``P`` at
+    that total variation.
     """
     _require_int(N, "norm_EN: N")
     return check_extendible(P, N).norm
@@ -382,12 +394,11 @@ def _check_mixture(P: ExchangeableLaw, source: str, atoms: Sequence[Atom]) -> No
 
 def _iid_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
     """The single atom ``(1, theta)`` when ``P`` is the i.i.d. law
-    ``theta^{(x)n}``, else None.  Only ``P``'s own one-coordinate marginal
-    ``theta_a = sum_mu P(mu) * mu_a / n`` can be that ``theta``."""
-    theta = tuple(
-        sum((w * tau.counts[a] for tau, w in P.weights.items()), Fraction(0)) / P.n
-        for a in range(P.alphabet.size)
-    )
+    ``theta^{(x)n}``, else None.  Only ``P``'s own one-coordinate marginal,
+    ``marginalize(P, 1)``, can be that ``theta``."""
+    k = P.alphabet.size
+    one = marginalize(P, 1)
+    theta = tuple(one.weight(TypeVector.delta(a, k)) for a in range(k))
     atoms = ((Fraction(1), theta),)
     return atoms if _mixture_type_weights(atoms, P.n) == dict(P.weights) else None
 

@@ -7,8 +7,9 @@ gcd per row rather than a gcd per entry.  The caller declares the signed
 columns the simplex works over, each +1 or -1 times one variable's column:
 :func:`solve` declares the two parts of a free variable, and the
 total-variation program in :mod:`exchkit.measures` the negative part of
-every weight.  The tableau stores each variable's column once; only the
-objective row has an entry for each sign.  Every number in an outcome is a
+every weight.  Every row, the objective row included, stores each
+variable's column once, and a signed column is priced against its cost when
+the entering column is chosen.  Every number in an outcome is a
 :class:`fractions.Fraction`, and outcomes always carry enough data to be
 re-checked independently by :func:`verify`:
 
@@ -38,7 +39,6 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .caps import ensure_within_cap, resource_cap
@@ -187,15 +187,19 @@ class _Simplex:
     part of every weight the same way.
 
     Tableau row ``i`` is the integer list ``T[i]`` over the positive
-    denominator ``den[i]``; the objective row is ``obj`` over ``oden``.
-    Columns are indexed logically (signed columns | slack/surplus |
-    artificials), and logical column ``j`` reads ``sign * T[i][stored]``
-    for ``(stored, sign) = colmap[j]``.  ``T[i]`` holds each variable's
-    entry once, then the slack, artificial and rhs slots; a pivot keeps
-    every logical column equal to its stored column up to its sign.  The
-    objective row keeps the logical width, since the signs differ in cost.
-    The outcome's primal is per variable (the signed sum of its columns),
-    and its value is in the maximization form.
+    denominator ``den[i]``.  Columns are indexed logically (signed columns |
+    slack/surplus | artificials), and logical column ``j`` reads
+    ``sign * T[i][stored]`` for ``(stored, sign) = colmap[j]``.  ``T[i]``
+    holds each variable's entry once, then the slack, artificial and rhs
+    slots; a pivot keeps every logical column equal to its stored column up
+    to its sign.  The objective row has the same width: ``z`` over ``zden``
+    is ``sum_i cost[basis[i]] * T[i] / den[i]`` for the phase's integer
+    costs ``cost = phase_cost`` over ``cden = phase_cden``, so column ``j``
+    has reduced cost ``(cost[j] - sign * z[stored] / zden) / cden``,
+    ``z[-1] / (zden * cden)`` is the objective value and ``z`` at row
+    ``i``'s unit column over ``zden * cden`` is its dual.  The outcome's
+    primal is per variable (the signed sum of its columns), and its value
+    is in the maximization form.
     """
 
     def __init__(self, rows: Sequence[Row], columns: Sequence[SignedColumn]):
@@ -241,11 +245,7 @@ class _Simplex:
         self.artificials = {c for c in self.art_col if c >= 0}
         shift = nvars - ncols
         self.colmap = [*self.cols, *[(c + shift, 1) for c in range(ncols, width)]]
-        # _logical reads logical slot j at gather[j] of a stored row that is
-        # followed by its negated variable entries.
         self.stored_width = width + shift + 1
-        self.gather = [s if sign > 0 else self.stored_width + s for s, sign in self.colmap]
-        self.gather.append(self.stored_width - 1)
 
         self.T: list[list[int]] = []
         self.basis: list[int] = []
@@ -263,11 +263,6 @@ class _Simplex:
                 row[self.art_col[i] + shift] = den
             self.T.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i])
-
-    def _logical(self, row: list[int]) -> list[int]:
-        """A stored tableau row at the logical width."""
-        row = [*row, *map(neg, row[: self.nvars])]
-        return list(map(row.__getitem__, self.gather))
 
     # -- tableau mechanics ---------------------------------------------------
 
@@ -295,35 +290,32 @@ class _Simplex:
             f = other[s]
             if f:
                 T[r], self.den[r] = _eliminate(other, self.den[r], sign * f, prow, p)
-        f = self.obj[col]
+        # z gains the entering column's reduced cost times the pivot row
+        f = sign * self.z[s] - self.phase_cost.get(col, 0) * self.zden
         if f:
-            self.obj, self.oden = _eliminate(self.obj, self.oden, f, self._logical(prow), p)
+            self.z, self.zden = _eliminate(self.z, self.zden, f, prow, p)
         self.basis[row] = col
 
     def _set_objective(self, cost: dict[int, int], cden: int) -> None:
-        # obj[j] / oden = reduced cost of column j, for column costs
-        # cost[j] / cden; obj[-1] / oden = -(objective value).
         basic = [(cost[b], i) for i, b in enumerate(self.basis) if b in cost]
         scale = lcm(*(self.den[i] for _, i in basic))
-        acc = [0] * self.stored_width
+        z = [0] * self.stored_width
         for c, i in basic:
             w = c * (scale // self.den[i])
-            acc = [a - w * v for a, v in zip(acc, self.T[i])]
-        obj = self._logical(acc)
-        for j, c in cost.items():
-            obj[j] += c * scale
-        oden = cden * scale
-        g = gcd(oden, *obj)
-        self.obj = [v // g for v in obj]
-        self.oden = oden // g
+            z = [a + w * v for a, v in zip(z, self.T[i])]
+        g = gcd(scale, *z)
+        self.z = [v // g for v in z]
+        self.zden = scale // g
+        self.phase_cost, self.phase_cden = cost, cden
 
     def _iterate(self, banned: set[int]) -> Optional[int]:
         """Bland's rule until optimal (returns None) or unbounded
         (returns the entering column)."""
         while True:
             enter = -1
-            for j in range(self.width):
-                if j not in banned and self.obj[j] > 0:
+            z, zden, cost = self.z, self.zden, self.phase_cost
+            for j, (s, sign) in enumerate(self.colmap):
+                if j not in banned and cost.get(j, 0) * zden > sign * z[s]:
                     enter = j
                     break
             if enter < 0:
@@ -354,7 +346,7 @@ class _Simplex:
             self._set_objective(dict.fromkeys(self.artificials, -1), 1)
             if self._iterate(banned=set()) is not None:
                 raise AssertionError("simplex: phase 1 cannot be unbounded")
-            if self.obj[-1] > 0:
+            if self.z[-1] < 0:
                 return self._infeasible_outcome()
             self._purge_artificials()
 
@@ -404,23 +396,18 @@ class _Simplex:
                 x[j] += sign * internal[col]
         return tuple(x)
 
-    def _duals(self, phase1: bool) -> tuple[Fraction, ...]:
-        # Reduced cost of row i's unit column gives its dual value:
-        # r = c_unit - y_i, with c_unit = -1 for phase-1 artificials, else 0.
-        zero = Fraction(0)
-        y_ext = [zero] * (len(self.flip))
-        for pos, ext_i in enumerate(self.row_id):
+    def _duals(self) -> tuple[Fraction, ...]:
+        # Row i's dual is z at its unit column: its artificial, else its slack.
+        y_ext = [Fraction(0)] * len(self.flip)
+        den = self.zden * self.phase_cden
+        for ext_i in self.row_id:
             art = self.art_col[ext_i]
-            if art >= 0:
-                c_unit = Fraction(-1) if phase1 else zero
-                y = c_unit - Fraction(self.obj[art], self.oden)
-            else:
-                y = -Fraction(self.obj[self.slack_col[ext_i]], self.oden)
-            y_ext[ext_i] = self.flip[ext_i] * y
+            unit, _ = self.colmap[art if art >= 0 else self.slack_col[ext_i]]
+            y_ext[ext_i] = self.flip[ext_i] * Fraction(self.z[unit], den)
         return tuple(y_ext)
 
     def _infeasible_outcome(self) -> LpOutcome:
-        return LpOutcome(status=LpStatus.INFEASIBLE, certificate=self._duals(phase1=True))
+        return LpOutcome(status=LpStatus.INFEASIBLE, certificate=self._duals())
 
     def _unbounded_outcome(self, enter: int) -> LpOutcome:
         zero = Fraction(0)
@@ -441,8 +428,8 @@ class _Simplex:
         return LpOutcome(
             status=LpStatus.OPTIMAL,
             primal=self._to_original(self._internal_point()),
-            objective_value=-Fraction(self.obj[-1], self.oden),
-            certificate=self._duals(phase1=False),
+            objective_value=Fraction(self.z[-1], self.zden * self.phase_cden),
+            certificate=self._duals(),
         )
 
 

@@ -348,6 +348,47 @@ def test_norm_is_the_checked_decision(monkeypatch):
         norm_EN(URN, 3)
 
 
+K4N3 = ExchangeableLaw(
+    Alphabet.of_size(4),
+    3,
+    {
+        T((1, 0, 2, 0)): Fraction(1, 16),
+        T((0, 1, 2, 0)): Fraction(7, 16),
+        T((0, 0, 3, 0)): Fraction(7, 16),
+        T((1, 2, 0, 0)): Fraction(1, 16),
+    },
+)
+
+
+def test_refuted_norm_is_pinned_from_both_sides(monkeypatch):
+    # A simplex that loses the last marginal row solves a looser program.
+    # Its dual, with a zero for the lost row, still passes apply_U and
+    # prices P at the looser optimum, so the refutation bounds that too-low
+    # norm only from below; the signed weights miss the lost row of P.
+    import dataclasses
+
+    import exchkit.measures as measures
+
+    def dropped_row(rows, columns):
+        simplex = _Simplex(rows[:-1], columns)
+        solve = simplex.solve
+
+        def padded():
+            out = solve()
+            return dataclasses.replace(out, certificate=(*out.certificate, Fraction(0)))
+
+        simplex.solve = padded
+        return simplex
+
+    cases = ((K3N3, 4), (K3N3, 5), (K3N3, 6), (K4N3, 6))
+    assert [norm_EN(P, N) for P, N in cases] == [2, Fraction(8, 3), Fraction(8, 3), Fraction(113, 96)]
+    monkeypatch.setattr(measures, "_Simplex", dropped_row)
+    for P, N in cases:
+        for decide in (check_extendible, norm_EN):
+            with pytest.raises(AssertionError, match="signed weights do not reproduce"):
+                decide(P, N)
+
+
 def test_certificate_checks_read_no_urn_column(monkeypatch):
     # Urn columns with their first two coefficients swapped mislead every
     # decider that reads them (the norm program and the inversion peel).

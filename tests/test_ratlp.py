@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit import measures
+from exchkit import measures, represent
 from exchkit.caps import DEFAULT_RESOURCE_CAP
+from exchkit.corpus import disjoint_pairs_law
 from exchkit.errors import CapacityError, InputError
 from exchkit.extend import norm_EN
 from exchkit.measures import ExchangeableLaw
@@ -297,3 +298,46 @@ def test_norm_program_stores_each_urn_column_once(monkeypatch):
     assert nrows == 10
     assert row_widths == {28 + 10 + 1}
     assert width == 56 + 10
+
+
+def test_bland_pivot_counts_are_pinned(monkeypatch):
+    # Pivots per solve, over both phases, of norm and grid programs under
+    # Bland's rule.  A rework of the pricing that keeps the rule keeps them;
+    # a new entering rule changes them on purpose, and says so here.
+    solves = []
+
+    def recorded(rows, columns):
+        solves.append(_Simplex(rows, columns))
+        return solves[-1]
+
+    def pivots(decide):
+        solves.clear()
+        decide()
+        # the objective row has the width of every stored row
+        assert all(len(simplex.z) == len(simplex.T[0]) for simplex in solves)
+        return [simplex.pivots for simplex in solves]
+
+    monkeypatch.setattr(measures, "_Simplex", recorded)
+    k3n3 = ExchangeableLaw(
+        Alphabet.of_size(3),
+        3,
+        {TypeVector((1, 1, 1)): Fraction(1, 2), TypeVector((3, 0, 0)): Fraction(1, 2)},
+    )
+    pairs, _ = disjoint_pairs_law()
+    mixed = ExchangeableLaw(
+        Alphabet.of_size(2),
+        2,
+        {
+            TypeVector((2, 0)): Fraction(5, 32),
+            TypeVector((1, 1)): Fraction(7, 16),
+            TypeVector((0, 2)): Fraction(13, 32),
+        },
+    )
+    assert [pivots(lambda: norm_EN(k3n3, N)) for N in range(4, 11)] == [
+        [31], [58], [103], [182], [262], [331], [442]
+    ]
+    assert [pivots(lambda: norm_EN(pairs, N)) for N in range(3, 7)] == [
+        [32], [113], [188], [294]
+    ]
+    assert pivots(lambda: represent.signed_mixture(pairs, 8)) == [329]
+    assert pivots(lambda: represent.signed_mixture(mixed, 4)) == [4]
