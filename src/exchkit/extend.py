@@ -28,7 +28,7 @@ are the optimal refutation: a symmetric ``g`` with ``sup |U g| = 1`` and
 weights, reproducing ``P`` at total variation equal to the norm, bound it
 from above.
 
-Two exact constructive fast paths run before the LP: the triangular
+Two exact constructive fast paths run before the LP: the closed-form
 inversion transport of ``P`` (when its coefficients happen to be
 nonnegative they already form a witness) and, for pair laws, "staircase
 peeling" into prefix-uniform product laws (which covers laws whose pair
@@ -280,7 +280,8 @@ def mixture_extension(
     :func:`~exchkit.measures._mixture_type_weights`); every weight of the
     returned law is still a ``Fraction``.
     """
-    _require_int(N, "mixture_extension: N")
+    if _require_int(N, "mixture_extension: N") < 1:
+        raise InputError(f"mixture_extension: N must be >= 1, got {N}")
     mix = SignedMixture(tuple(atoms))  # probability-vector atoms of one width
     if any(w < 0 for w, _ in mix.atoms):
         raise InputError("mixture_extension: weights must be nonnegative")

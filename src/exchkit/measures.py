@@ -15,8 +15,8 @@ distribution.  Its weights are the coefficients::
 which form a row-stochastic matrix from mass-``N`` types to mass-``n`` types.
 Row ``nu`` of that matrix is the *urn column* of ``nu``: the sparse list of
 ``(mu, a(nu, mu))`` pairs over the subtypes ``mu`` of ``nu``, built once per
-``(nu, n)`` by ``_urn_column``.  The deciders read the matrix through it:
-urn measures, the inversion and the norm program.  The certificate checks
+``(nu, n)`` by ``_urn_column``.  Two readers build from it: urn measures
+and the norm program of ``extend.check_extendible``.  The certificate checks
 read ``_draws`` instead, one cached table of the draws of ``n`` from an
 urn of one count pattern, built from binomials alone: ``_marginal``, the
 one ``n``-marginal of an urn combination (read by ``marginalize``,
@@ -26,10 +26,10 @@ norm program computes the coefficients on its own.
 
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
-measures, by solving a lower-triangular system over the support of the
-target type.  The solution depends on the target only through its count
-pattern, so each pattern is peeled once, in ``_pattern_table``, one urn
-column at a time and without forming the dense matrix.  ``_transport`` is
+measures.  The coefficients depend on the target only through its count
+pattern and have a closed form, a product of binomials that binomial
+inversion gives; ``_pattern_table`` evaluates it once per pattern, and no
+urn column or triangular system is formed.  ``_transport`` is
 the one reader of those cached tables: it relabels each onto a support
 ordered by ``_support_order`` and sums a whole combination of class laws
 in integers.  ``invert_urn`` is the transport of a single class, and
@@ -390,9 +390,9 @@ def _support_order(counts: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
     """The support of a count tuple in the inversion's order, ascending
     count and then position, and the count pattern read in that order.
 
-    Any total order would keep the system triangular; ordering by count
-    makes the table, and hence its l1 norm, depend only on the multiset of
-    nonzero counts.  Placing the slots in another order (ties broken the
+    The closed form of :func:`_pattern_table` holds in any slot order;
+    ordering by count makes the table, and hence its l1 norm, depend only
+    on the multiset of nonzero counts.  Another placement (ties broken the
     other way, say) can put the anchors on the wrong symbols."""
     sup = sorted((i for i, c in enumerate(counts) if c), key=lambda i: (counts[i], i))
     return sup, tuple([counts[i] for i in sup])
@@ -408,43 +408,37 @@ def _pattern_table(pattern: tuple[int, ...], N: int) -> PatternTable:
     count pattern ``pattern`` (nonzero, nondecreasing), as integers over
     one common denominator: ``(den, ((local counts, numerator), ...))``.
 
-    This is the only triangular peel.  The unknowns are indexed by the
-    mass-``n`` types ``lambda`` on the pattern's slots, in lexicographic
-    order, and the anchor of ``lambda`` is ``lambda + (N - n) * e_last``.
-    The urn column of anchor ``j`` holds only the lambdas of index
-    ``<= j``, and lambda ``j`` itself with a positive coefficient, so
-    peeling from the last row back solves the system: a residual starts at
-    the point mass on the pattern, and each row takes its coefficient from
-    the residual at its lambda and subtracts that multiple of its column.
-    The entries come out in the order of their lambdas, zeros dropped.
+    Write ``mu = (mu', m)``: ``m`` is the last count, ``M = |mu'|`` and
+    ``n = M + m``.  At ``N = n`` the table is ``{mu: 1}``.  For ``N > n``
+    binomial inversion gives it in closed form: the anchors are
+    ``(lam', N - |lam'|)`` for ``0 <= lam' <= mu'``, in lexicographic
+    order, and anchor ``lam'`` has the coefficient::
 
-    The table depends only on ``(pattern, N)``, so each is peeled once per
+        (-1)**(M - |lam'|) * prod_b C(mu'_b, lam'_b)
+            * C(N, n) * (N - n) / ((m + 1) * C(N - |lam'|, m + 1))
+
+    Proof: under anchor ``lam'`` a mass-``n`` ``kappa = (kappa', n - s)``,
+    ``s = |kappa'|``, has the urn coefficient ``prod_b C(lam'_b, kappa'_b)
+    * C(N - |lam'|, n - s) / C(N, n)``.  Summed over the anchors,
+    Vandermonde leaves ``prod_b C(mu'_b, kappa'_b) * (N - n) / (m + 1)``
+    times the ``(M - s)``-th forward difference at ``s`` of ``g(t) =
+    C(N - t, n - s) / C(N - t, m + 1)``, a polynomial in ``t`` of degree
+    ``M - s - 1`` when ``s < M``.  So the sum is 0 unless ``kappa' = mu'``,
+    where it is ``g(M) * (N - n) / (m + 1) = 1``.
+
+    The table depends only on ``(pattern, N)``, so each is built once per
     process; read it through :func:`_transport`, which checks the cap.
     """
     n = sum(pattern)
-    lams = [_make_type(c) for c in _compositions(n, len(pattern))]
-    index = {lam: j for j, lam in enumerate(lams)}
-    residual: dict[TypeVector, Fraction] = {_make_type(pattern): Fraction(1)}
+    if N == n:
+        return 1, ((pattern, 1),)
+    *head, m = pattern
+    scale = Fraction(math.comb(N, n) * (N - n), m + 1)
     entries = []
-    for j in range(len(lams) - 1, -1, -1):
-        lam = lams[j].counts
-        anchor = lam[:-1] + (lam[-1] + N - n,)
-        column = _urn_column(_make_type(anchor), n)
-        diagonal = 0
-        for kappa, a in column:
-            i = index[kappa]
-            if i > j:
-                raise AssertionError("invert_urn: system is not lower triangular")
-            if i == j:
-                diagonal = a
-        if not diagonal:
-            raise AssertionError("invert_urn: zero diagonal in triangular system")
-        c = residual.get(lams[j], 0) / diagonal
-        if c:
-            entries.append((anchor, c))
-            for kappa, a in column:
-                residual[kappa] = residual.get(kappa, 0) - c * a
-    entries.reverse()
+    for lam in itertools.product(*[range(c + 1) for c in head]):
+        s = sum(lam)
+        c = scale * math.prod(map(math.comb, head, lam)) / math.comb(N - s, m + 1)
+        entries.append((lam + (N - s,), -c if (n - m - s) % 2 else c))
     den = math.lcm(*(c.denominator for _, c in entries))
     return den, tuple((anchor, c.numerator * (den // c.denominator)) for anchor, c in entries)
 
@@ -455,8 +449,9 @@ def _transport(weights: WeightMap, k: int, N: int) -> tuple[dict[tuple[int, ...]
     tuple, and their common denominator.  They satisfy the marginal
     identities of the combination.
 
-    The only reader of :func:`_pattern_table`.  Each width-``k`` type
-    ``mu`` reads its count pattern's table, relabelled onto its support:
+    The only reader of :func:`_pattern_table`'s closed-form tables; no urn
+    column is read.  Each width-``k`` type ``mu`` reads its count pattern's
+    table, relabelled onto its support:
     local slot ``j`` goes to the ``j``-th symbol of :func:`_support_order`,
     values unchanged.  Each (type, entry) product is an integer over
     ``T = lcm(w.den * table den)``.  The ``urn inversion types`` cap is
@@ -488,7 +483,7 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     The table depends on ``mu`` only through its count pattern, the
     nonzero counts in the support order of :func:`_support_order`
     (ascending count, then position): it is the table of the canonical
-    type of that pattern, peeled once by :func:`_pattern_table`, with local
+    type of that pattern, built once by :func:`_pattern_table`, with local
     slot ``j`` placed on the ``j``-th symbol of that order and the
     coefficients unchanged.  It is the transport of the point mass on
     ``mu`` (see :func:`_transport`).
@@ -498,8 +493,7 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
         raise InputError(f"invert_urn: need N >= mass of mu, got N={N} < {n}")
     if n == 0:
         # Zero-mass target: every urn projects to the empty law.
-        anchor = TypeVector.delta(mu.width - 1, mu.width, N) if N else TypeVector((0,) * mu.width)
-        return InversionTable(mu, N, {anchor: Fraction(1)})
+        return InversionTable(mu, N, {TypeVector.delta(mu.width - 1, mu.width, N): Fraction(1)})
     acc, den = _transport({mu: Fraction(1)}, mu.width, N)
     return InversionTable(mu, N, {_make_type(nu): Fraction(c, den) for nu, c in acc.items()})
 
@@ -508,8 +502,8 @@ def reconstruct_check(table: InversionTable) -> bool:
     """Exact verification that the table reproduces its target class law.
 
     True iff ``sum_nu coeffs[nu] * a(nu, kappa) == 1{kappa == mu}`` for
-    every mass-``n`` type ``kappa``, summed by :func:`_marginal` and not
-    through the urn columns :func:`_pattern_table` peeled.
+    every mass-``n`` type ``kappa``, summed by :func:`_marginal` from the
+    draws alone, not from the closed form :func:`_pattern_table` evaluates.
     """
     mu = table.mu
     n, k = mu.mass, mu.width

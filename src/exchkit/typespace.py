@@ -244,8 +244,10 @@ def enumerate_types(alphabet: Alphabet | int, mass: int) -> list[TypeVector]:
 
 def type_count(k: int, mass: int) -> int:
     """``|N_mass(S)| = C(mass + k - 1, k - 1)`` without enumerating."""
-    _require_int(k, "type_count: k")
-    _require_int(mass, "type_count: mass")
+    if _require_int(k, "type_count: k") < 1:
+        raise InputError("type_count: alphabet must have k >= 1")
+    if _require_int(mass, "type_count: mass") < 0:
+        raise InputError(f"type_count: mass must be >= 0, got {mass}")
     return math.comb(mass + k - 1, k - 1)
 
 

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from exchkit.cli import _norm_primal_lp
 from exchkit.corpus import disjoint_pairs_law, dyadic_max_law, urn_without_replacement
 from exchkit.extend import (
     InfiniteOutcome,
@@ -140,6 +141,11 @@ def test_criterion_5_duality_on_200_random_laws():
                 if report.verdict is Verdict.NOT_EXTENDIBLE:
                     assert report.norm == norm > 1
                 assert_report_certified(law, report)
+                # the paper's definition, solved on its own: max E_P g over
+                # free g with |U_N g| <= 1
+                primal = _norm_primal_lp(law, N)
+                out = solve(primal)
+                assert verify(primal, out) and out.objective_value == norm
 
 
 def test_criterion_6_product_laws_certified_everywhere():

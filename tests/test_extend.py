@@ -237,6 +237,35 @@ def test_transport_checks_the_cap_on_a_cached_table(monkeypatch):
         _transport_witness(P, 6)
 
 
+def test_a_wrong_inversion_table_is_refused(monkeypatch):
+    # The transport trusts the closed form of _pattern_table; the witness
+    # check does not.  The transport settles (1/2, 1/2)^2 at N=3 with the
+    # witness {1:2 3/4, 3:0 1/4}.  With one numerator unit moved from each
+    # table's second entry to its first it is still nonnegative, but its
+    # marginal is not the law.
+    import exchkit.measures as measures
+
+    real = measures._pattern_table
+
+    def moved(pattern, N):
+        den, entries = real(pattern, N)
+        if len(entries) > 1:
+            (a0, c0), (a1, c1) = entries[:2]
+            entries = ((a0, c0 + 1), (a1, c1 - 1)) + entries[2:]
+        return den, entries
+
+    P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
+    witness = _transport_witness(P, 3)
+    assert dict(witness.weights) == {T((1, 2)): Fraction(3, 4), T((3, 0)): Fraction(1, 4)}
+    monkeypatch.setattr(measures, "_pattern_table", moved)
+    witness = _transport_witness(P, 3)
+    assert dict(witness.weights) == {
+        T((0, 3)): Fraction(1, 4), T((1, 2)): Fraction(1, 2), T((3, 0)): Fraction(1, 4)
+    }
+    with pytest.raises(AssertionError, match="extend: witness failed the marginal identity"):
+        check_extendible(P, 3)
+
+
 def test_norm_takes_the_constructive_witness_first(monkeypatch):
     # a transport or staircase witness pins the norm to 1 without a solve,
     # even where the norm program is over the cap
@@ -390,8 +419,9 @@ def test_refuted_norm_is_pinned_from_both_sides(monkeypatch):
 
 
 def test_certificate_checks_read_no_urn_column(monkeypatch):
-    # Urn columns with their first two coefficients swapped mislead every
-    # decider that reads them (the norm program and the inversion peel).
+    # Urn columns with their first two coefficients swapped mislead the
+    # norm program, the one decider that reads them (the inversion tables
+    # are a closed form in binomials and read none).
     # The refutation check sums its own draw table, so it refuses what
     # they decide; the witness check never read them.
     import exchkit.extend as extend
@@ -409,7 +439,7 @@ def test_certificate_checks_read_no_urn_column(monkeypatch):
 
     cases = ((URN, 3), (URN, 4), (K3N3, 5))
     assert [norm_EN(P, N) for P, N in cases] == [2, 2, Fraction(8, 3)]
-    measures._pattern_table.cache_clear()  # peeled again from the swapped columns
+    measures._pattern_table.cache_clear()  # rebuilt from binomials, not columns
     monkeypatch.setattr(measures, "_urn_column", swapped)
     monkeypatch.setattr(extend, "_urn_column", swapped)
     monkeypatch.setattr(symmetrize, "_urn_column", swapped, raising=False)
@@ -687,6 +717,13 @@ def test_mixture_extension_validates_its_atoms(atoms, fault):
     # each fault is named up front, not met later as a law error about a type
     with pytest.raises(InputError, match=fault):
         mixture_extension(atoms, 3, URN.alphabet)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_mixture_extension_rejects_N_below_1(N):
+    atoms = ((Fraction(1), (Fraction(1, 2), Fraction(1, 2))),)
+    with pytest.raises(InputError, match=f"mixture_extension: N must be >= 1, got {N}"):
+        mixture_extension(atoms, N, URN.alphabet)
 
 
 def test_corollary_criterion_examples():

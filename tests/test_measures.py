@@ -1,5 +1,6 @@
-"""Urn measures, their triangular inversion, and product laws."""
+"""Urn measures, their closed-form inversion, and product laws."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -150,6 +151,16 @@ def test_invert_hand_example():
     assert dict(table.coeffs) == {T((0, 3)): Fraction(-1, 2), T((1, 2)): Fraction(3, 2)}
     assert table.l1 == 2
     assert reconstruct_check(table)
+    # mu' = (1, 1), m = 2: each anchor lam' carries (-1)**(2 - |lam'|)
+    # * 5 / 3 / C(5 - |lam'|, 3)
+    table = invert_urn(T((1, 1, 2)), 5)
+    assert dict(table.coeffs) == {
+        T((0, 0, 5)): Fraction(1, 6),
+        T((0, 1, 4)): Fraction(-5, 12),
+        T((1, 0, 4)): Fraction(-5, 12),
+        T((1, 1, 3)): Fraction(5, 3),
+    }
+    assert reconstruct_check(table)
 
 
 def test_invert_identity_when_N_equals_n():
@@ -213,9 +224,11 @@ def test_marginal_of_signed_inversion_tables():
 
 
 def test_l1_depends_only_on_support_profile():
-    # for fixed n, N, k the l1 norm is a function of the multiset of
-    # nonzero counts; the max over classes is finite and reported
+    # for fixed n and N the l1 norm is a function of the largest count m
+    # alone, whatever k and the other counts; the max over classes is
+    # finite and reported
     worst: dict[tuple[int, int, int], Fraction] = {}
+    by_top: dict[tuple[int, int, int], Fraction] = {}
     for k in (1, 2, 3):
         for n in range(0, 4):
             for N in range(n, 7):
@@ -227,10 +240,48 @@ def test_l1_depends_only_on_support_profile():
                         assert by_profile[profile] == l1
                     else:
                         by_profile[profile] = l1
+                    assert by_top.setdefault((n, N, max(mu.counts)), l1) == l1
                 if by_profile:
                     worst[(k, n, N)] = max(by_profile.values())
     print("empirical max inversion l1 by (k, n, N):", worst)
     assert all(v >= 1 for v in worst.values())
+    # summing |coefficient| over the anchors lam' with |lam'| = s leaves
+    # C(n - m, s) by Vandermonde
+    for (n, N, m), l1 in by_top.items():
+        if N > n:
+            scale = Fraction(math.comb(N, n) * (N - n), m + 1)
+            total = sum(Fraction(math.comb(n - m, s), math.comb(N - s, m + 1))
+                        for s in range(n - m + 1))
+            assert l1 == scale * total, (n, N, m)
+        else:
+            assert l1 == 1
+
+
+def _count_patterns(slots, mass):
+    """Every count pattern (nonzero, nondecreasing) of at most ``slots``
+    counts and mass 1 to ``mass``."""
+    def grow(prefix, low, left):
+        if prefix:
+            yield prefix
+        if len(prefix) < slots:
+            for c in range(low, left + 1):
+                yield from grow(prefix + (c,), c, left - c)
+
+    return list(grow((), 1, mass))
+
+
+def test_pattern_tables_reconstruct_their_targets():
+    # reconstruct_check sums the draws of each anchor from binomials alone
+    # (_draws), not from the closed form the tables evaluate
+    patterns = _count_patterns(5, 8)
+    assert len(patterns) == 59
+    for pattern in patterns:
+        n = sum(pattern)
+        for N in (*range(n, n + 8), n + 20, 64):
+            assert reconstruct_check(invert_urn(T(pattern), N)), (pattern, N)
+    table = invert_urn(T((2, 2, 2, 2)), 200)
+    assert len(table.coeffs) == 27  # one anchor per lam' <= (2, 2, 2)
+    assert reconstruct_check(table)
 
 
 def _ordered_support(mu: TypeVector) -> list[int]:
@@ -364,7 +415,7 @@ def test_invert_urn_respects_cap(monkeypatch):
     assert reconstruct_check(invert_urn(T((1, 1)), 3))  # 3 mass-2 types fit
     with pytest.raises(CapacityError, match="urn inversion types"):
         invert_urn(T((1, 1, 1)), 6)  # 10 mass-3 types over 3 symbols
-    # a table peeled and cached under the default cap does not carry a
+    # a table built and cached under the default cap does not carry a
     # lookup past a cap lowered since
     monkeypatch.delenv("EXCHKIT_CAP")
     assert reconstruct_check(invert_urn(T((1, 1, 1)), 6))

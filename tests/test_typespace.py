@@ -66,6 +66,15 @@ def test_counting_identity(k, m):
     assert all(a < b for a, b in zip(types, types[1:]))
 
 
+def test_type_count_rejects_what_enumerate_types_rejects():
+    for k, mass in ((0, 2), (-1, 0), (2, -1), (1, -5)):
+        with pytest.raises(InputError):
+            enumerate_types(k, mass)
+        with pytest.raises(InputError, match="type_count: "):
+            type_count(k, mass)
+    assert type_count(1, 0) == 1
+
+
 def test_multiset_count_by_enumeration():
     # all length-3 words over {a,b} with two a's and one b
     words = [w for w in itertools.product(range(2), repeat=3) if w.count(0) == 2]
