@@ -21,12 +21,12 @@ The questions answered here, all exactly:
 One linear program answers the whole question: the minimum total variation
 of a signed combination of mass-``N`` urn measures reproducing ``P`` (rows:
 the marginal identities; one signed weight per urn).  Its optimum is the
-norm.  At norm 1 the weights are the witness, since urn columns sum to 1
-and so leave no room for a negative weight.  Above 1 the negated row duals
-are the optimal refutation: a symmetric ``g`` with ``sup |U g| = 1`` and
-``E_P g`` equal to the norm, which bounds the norm from below; the signed
-weights, reproducing ``P`` at total variation equal to the norm, bound it
-from above.
+norm, bounded from above by the signed weights, which reproduce ``P`` at
+total variation equal to the norm.  At norm 1 the weights are the witness,
+since urn columns sum to 1 and so leave no room for a negative weight.
+Above 1 the negated row duals are the optimal refutation: a symmetric ``g``
+with ``sup |U g| = 1`` and ``E_P g`` equal to the norm, which bounds the
+norm from below.
 
 Two exact constructive fast paths run before the LP: the closed-form
 inversion transport of ``P`` (when its coefficients happen to be
@@ -41,11 +41,13 @@ symbol, so one walk over the mass-``N`` draws builds the length-``N`` law
 without summing the prefix atoms one by one.
 
 There is one decision path, ``check_extendible``, and it checks whatever
-certificate it holds once: a witness (transport, staircase or LP) with
-``marginal_matches``, a refutation with ``symmetrize.apply_U`` and its
-signed weights with ``measures._marginal``.  These checks sum over
-``measures._draws`` and read no urn column, so none reads what a decider
-read.
+certificate it holds once, with one rule per certificate: a constructive
+witness (transport or staircase) with ``marginal_matches``, the norm
+program's signed weights, for either verdict, with ``measures._marginal``
+and their total variation, and a refutation with ``symmetrize.apply_U``.
+These checks sum over ``measures._draws`` and read no urn column, so none
+reads what a decider read.  The grid program checks its own optimum in
+``represent._grid_mixture``.
 """
 
 from __future__ import annotations
@@ -305,15 +307,15 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     norm to 1 without a solve: the witness is a total-variation-1
     reproduction of ``P`` (so norm <= 1) and row stochasticity forces
     norm >= 1.  They are the nonnegative transport and the staircase
-    witness (see :func:`_staircase_type_weights`).  Otherwise one solve of
-    the norm program decides: at norm 1 its positive part is the witness,
-    above 1 its negated dual is a refutation with ``sup |U g| = 1`` and
-    ``E_P g == norm``.  Each certificate is checked once, a witness by
-    :func:`marginal_matches`.  A refuted norm is checked from both sides:
-    from below by the refutation through ``apply_U``, and from above by
-    the signed weights, whose marginal must be ``P`` and whose total
-    variation must be the norm.  No check reads a decider's tables or urn
-    columns.
+    witness (see :func:`_staircase_type_weights`), each checked by
+    :func:`marginal_matches`.  Otherwise one solve of the norm program
+    decides, and one rule checks its weights for either verdict: their
+    marginal must be ``P`` and their total variation the norm.  That bounds
+    the norm from above; at norm 1 it also leaves no weight negative, since
+    the marginal keeps total mass, so the weights are the witness.  Above 1
+    the negated dual is a refutation, checked first through ``apply_U``:
+    ``sup |U g| = 1`` and ``E_P g == norm`` bound the norm from below.  No
+    check reads a decider's tables or urn columns.
 
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
@@ -343,13 +345,12 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
             g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
             if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != norm:
                 raise AssertionError("refutation: negated dual is not an optimal refutation")
-            if (_marginal(signed, k, P.n) != dict(P.weights)
-                    or sum(map(abs, signed.values())) != norm):
-                raise AssertionError("refutation: signed weights do not reproduce P at the norm")
-            return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
-        if any(w < 0 for w in signed.values()):
-            raise AssertionError("extend: norm-1 optimum has a negative weight")
-        witness = ExchangeableLaw(P.alphabet, N, signed)
+        # the marginal keeps total mass, so at norm 1 no weight is negative
+        if _marginal(signed, k, P.n) != dict(P.weights) or sum(map(abs, signed.values())) != norm:
+            raise AssertionError("norm: signed weights do not reproduce P at the norm")
+        if norm == 1:
+            return ExtendReport(N, Verdict.EXTENDIBLE, norm, ExchangeableLaw(P.alphabet, N, signed))
+        return ExtendReport(N, Verdict.NOT_EXTENDIBLE, norm, refutation=g)
     if not marginal_matches(witness, P):
         raise AssertionError("extend: witness failed the marginal identity")
     return ExtendReport(N, Verdict.EXTENDIBLE, Fraction(1), witness=witness)
@@ -416,7 +417,8 @@ def probe_infinite(
     Step 3 tries to certify by the grid LP at ``grid_depth`` and once more
     at double depth; it comes last because its programs cost far more than
     a refutation at small N.  Every certificate's atoms are checked
-    against ``P`` before they are returned.  Grid infeasibility proves
+    against ``P`` before they are returned, the grid's by
+    ``represent._grid_mixture`` itself.  Grid infeasibility proves
     nothing, hence UNKNOWN; but a sweep stopped by the cap raises its
     ``CapacityError`` unless the grid certifies.
     """
@@ -444,10 +446,10 @@ def probe_infinite(
     except CapacityError as exc:
         capped = exc  # a grid certificate holds for every N, so try it first
     for depth in (grid_depth, 2 * grid_depth):
-        # the weights sum to 1, so a total variation of 1 leaves none negative
+        # the checked atoms reproduce P, so their weights sum to 1 and a
+        # total variation of 1 leaves none negative
         mix = _grid_mixture(P, depth)
         if mix is not None and mix.total_variation == 1:
-            _check_mixture(P, "grid", mix.atoms)
             return InfiniteReport(
                 InfiniteOutcome.CERTIFIED_INFINITE, N_max, grid_depth, mix.atoms,
                 grid_depth_used=depth,

@@ -15,14 +15,14 @@ distribution.  Its weights are the coefficients::
 which form a row-stochastic matrix from mass-``N`` types to mass-``n`` types.
 Row ``nu`` of that matrix is the *urn column* of ``nu``: the sparse list of
 ``(mu, a(nu, mu))`` pairs over the subtypes ``mu`` of ``nu``, built once per
-``(nu, n)`` by ``_urn_column``.  Two readers build from it: urn measures
-and the norm program of ``extend.check_extendible``.  The certificate checks
-read ``_draws`` instead, one cached table of the draws of ``n`` from an
-urn of one count pattern, built from binomials alone: ``_marginal``, the
-one ``n``-marginal of an urn combination (read by ``marginalize``,
-``reconstruct_check`` and ``extend.marginal_matches``), and
-``symmetrize.apply_U``, which checks refutations.  The CLI's brute-force
-norm program computes the coefficients on its own.
+``(nu, n)`` by ``_urn_column`` for its one reader, the norm program of
+``extend.check_extendible``.  Everything else reads ``_draws``, one cached
+table of the draws of ``n`` from an urn of one count pattern, built from
+binomials alone: ``_marginal``, the one ``n``-marginal of an urn
+combination (read by ``urn_measure``, ``marginalize``,
+``reconstruct_check``, ``extend.marginal_matches`` and the norm program's
+check), and ``symmetrize.apply_U``, which checks refutations.  The CLI's
+brute-force norm program computes the coefficients on its own.
 
 ``invert_urn`` runs the converse direction: it expresses the uniform law on a
 single mass-``n`` class as a finite *signed* combination of mass-``N`` urn
@@ -32,7 +32,8 @@ inversion gives; ``_pattern_table`` evaluates it once per pattern, and no
 urn column or triangular system is formed.  ``_transport`` is
 the one reader of those cached tables: it relabels each onto a support
 ordered by ``_support_order`` and sums a whole combination of class laws
-in integers.  ``invert_urn`` is the transport of a single class, and
+in integers, and ``_type_weights`` is the one builder of weights from
+such sums.  ``invert_urn`` is the transport of a single class, and
 ``extend`` decides with the transport of a law.  The l1 norm of the
 coefficients depends only on the support profile of the target, which is
 what keeps the extending-functional norm finite.
@@ -186,7 +187,7 @@ def urn_measure(nu: TypeVector, n: int, alphabet: Alphabet | None = None) -> Exc
     elif alphabet.size != nu.width:
         raise InputError("urn_measure: alphabet size does not match urn type")
     ensure_within_cap(type_count(len(nu.support()), n), "urn draw types")
-    return ExchangeableLaw(alphabet, n, dict(_urn_column(nu, n)))
+    return ExchangeableLaw(alphabet, n, _marginal({nu: 1}, nu.width, n))
 
 
 def product_law(
@@ -494,8 +495,7 @@ def invert_urn(mu: TypeVector, N: int) -> InversionTable:
     if n == 0:
         # Zero-mass target: every urn projects to the empty law.
         return InversionTable(mu, N, {TypeVector.delta(mu.width - 1, mu.width, N): Fraction(1)})
-    acc, den = _transport({mu: Fraction(1)}, mu.width, N)
-    return InversionTable(mu, N, {_make_type(nu): Fraction(c, den) for nu, c in acc.items()})
+    return InversionTable(mu, N, _type_weights(*_transport({mu: Fraction(1)}, mu.width, N)))
 
 
 def reconstruct_check(table: InversionTable) -> bool:

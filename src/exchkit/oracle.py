@@ -152,7 +152,7 @@ def solve_lp_by_enumeration(lp: LinearProgram) -> tuple[LpStatus, Optional[Fract
     for j in range(dim):
         planes.append(([Fraction(1 if i == j else 0) for i in range(dim)], Fraction(0)))
 
-    def feasible(x: Sequence[Fraction]) -> bool:
+    def feasible(x: Sequence[Fraction], rows: list) -> bool:
         if any(v < 0 for v in x):
             return False
         for coeffs, rel, rhs in rows:
@@ -170,7 +170,7 @@ def solve_lp_by_enumeration(lp: LinearProgram) -> tuple[LpStatus, Optional[Fract
         matrix = [planes[i][0] for i in subset]
         rhs = [planes[i][1] for i in subset]
         x = solve_square(matrix, rhs)
-        if x is None or not feasible(x):
+        if x is None or not feasible(x, rows):
             continue
         value = sum((c * v for c, v in zip(cost, x) if c), Fraction(0))
         if best is None or value > best:
@@ -179,23 +179,9 @@ def solve_lp_by_enumeration(lp: LinearProgram) -> tuple[LpStatus, Optional[Fract
     if best is None:
         return LpStatus.INFEASIBLE, None
 
-    # Recession cone: homogenized rows plus the orthant.
-    cone_rows = [(coeffs, rel) for coeffs, rel, _ in rows]
-
-    def in_cone(d: Sequence[Fraction]) -> bool:
-        if any(v < 0 for v in d):
-            return False
-        for coeffs, rel in cone_rows:
-            val = sum((c * v for c, v in zip(coeffs, d) if c), Fraction(0))
-            if rel == "<=" and val > 0:
-                return False
-            if rel == ">=" and val < 0:
-                return False
-            if rel == "=" and val != 0:
-                return False
-        return True
-
-    cone_planes = [coeffs for coeffs, _ in cone_rows]
+    # Recession cone: the feasible points of the homogenized rows.
+    cone_rows = [(coeffs, rel, 0) for coeffs, rel, _ in rows]
+    cone_planes = [coeffs for coeffs, _, _ in rows]
     for j in range(dim):
         cone_planes.append([Fraction(1 if i == j else 0) for i in range(dim)])
 
@@ -205,7 +191,7 @@ def solve_lp_by_enumeration(lp: LinearProgram) -> tuple[LpStatus, Optional[Fract
         if gen is None:
             continue
         for d in (gen, [-v for v in gen]):
-            if in_cone(d):
+            if feasible(d, cone_rows):
                 gain = sum((c * v for c, v in zip(cost, d) if c), Fraction(0))
                 if gain > 0:
                     return LpStatus.UNBOUNDED, None

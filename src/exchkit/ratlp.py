@@ -525,23 +525,13 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
             return against < 0
 
         if outcome.status is LpStatus.UNBOUNDED:
+            # lower bounds are 0, so a ray is a feasible point of the
+            # homogeneous rows
             x, d = outcome.primal, outcome.ray
-            if x is None or d is None or len(d) != lp.num_vars:
+            if x is None or d is None or not _point_feasible(lp, ext, x):
                 return False
-            if not _point_feasible(lp, ext, x):
-                return False
-            for coeffs, rel, _ in ext:
-                drift = _row_value(coeffs, d)
-                if rel == "<=" and drift > 0:
-                    return False
-                if rel == ">=" and drift < 0:
-                    return False
-                if rel == "=" and drift != 0:
-                    return False
-            for j, lo in enumerate(lp.lower):
-                if lo is not None and d[j] < 0:
-                    return False
-            return _row_value(cmax, d) > 0
+            cone = [(coeffs, rel, 0) for coeffs, rel, _ in ext]
+            return _point_feasible(lp, cone, d) and _row_value(cmax, d) > 0
 
         return False
     except (TypeError, IndexError, AttributeError):

@@ -5,9 +5,10 @@ product laws.  This module searches for such a combination with the product
 parameters restricted to the rational grid of a given depth, minimizing
 total variation (the l1 norm of the weights), and reports exactly what it
 found: the atoms, their total variation, and - through :func:`reconstruct` -
-the exact law they reproduce.  The grid program is built and solved once,
-in ``_grid_mixture``, which the infinite-extendibility probe in ``extend``
-reads too; its layout is ``measures._min_total_variation``'s.
+the exact law they reproduce.  The grid program is built, solved and its
+optimum checked against the law once, in ``_grid_mixture``, which the
+infinite-extendibility probe in ``extend`` reads too; its layout is
+``measures._min_total_variation``'s.
 
 A total variation of 1 means the mixture is an honest probability mixture;
 anything above 1 quantifies how far the law is from being one *on that
@@ -78,12 +79,16 @@ def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[SignedMixture]:
     """The least-total-variation combination of the depth-``depth`` grid
     product laws reproducing ``P``; None when the grid cannot reproduce it.
     The one grid program: :func:`signed_mixture` doubles its depth and
-    ``extend.probe_infinite`` certifies from it."""
+    ``extend.probe_infinite`` certifies from it.  The optimum is checked
+    here, for both readers: atoms that miss ``P`` are an internal error."""
     thetas, columns = _grid_columns(P, depth)
     weights, _ = _min_total_variation(P, len(thetas), columns)
     if weights is None:
         return None
-    return SignedMixture(tuple(zip(weights, thetas)))
+    mix = SignedMixture(tuple(zip(weights, thetas)))
+    if _mixture_type_weights(mix.atoms, P.n) != dict(P.weights):
+        raise AssertionError("represent: grid atoms do not reproduce the law")
+    return mix
 
 
 def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
@@ -95,7 +100,8 @@ def signed_mixture(P: ExchangeableLaw, grid_depth: int) -> SignedMixture:
     it can, which happens by the first depth ``d >= n``: the degree-``d``
     principal lattice is unisolvent (Chung & Yao, SIAM J. Numer. Anal.
     1977), so the product laws on it span every mass-``n`` law.  An
-    infeasible program at such a depth is an internal invariant failure.
+    infeasible program at such a depth, or an optimum whose atoms do not
+    reproduce ``P``, is an internal invariant failure.
     """
     if _require_int(grid_depth, "signed_mixture: grid_depth") < 1:
         raise InputError("signed_mixture: grid_depth must be >= 1")

@@ -377,6 +377,33 @@ def test_norm_is_the_checked_decision(monkeypatch):
         norm_EN(URN, 3)
 
 
+def test_norm_one_claim_is_checked_by_its_weights(monkeypatch):
+    # A simplex that claims the optimum 1 (max form -1) where the norm is 2:
+    # at norm 1 no refutation is checked, so the weights' own check, total
+    # variation equal to the claimed norm, must refuse it.
+    import dataclasses
+
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    def claims_one(rows, columns):
+        simplex = _Simplex(rows, columns)
+        solve = simplex.solve
+
+        def claimed():
+            return dataclasses.replace(solve(), objective_value=Fraction(-1))
+
+        simplex.solve = claimed
+        return simplex
+
+    assert norm_EN(URN, 3) == 2
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(measures, "_Simplex", claims_one)
+    for decide in (check_extendible, norm_EN):
+        with pytest.raises(AssertionError, match="signed weights do not reproduce P at the norm"):
+            decide(URN, 3)
+
+
 K4N3 = ExchangeableLaw(
     Alphabet.of_size(4),
     3,
@@ -885,6 +912,9 @@ def test_probe_refuses_grid_atoms_that_miss_the_law(monkeypatch):
     monkeypatch.setattr(measures, "_Simplex", forged)
     with pytest.raises(AssertionError, match="grid atoms do not reproduce"):
         probe_infinite(P, 2, 4)  # N_max = n: no sweep, the grid solves first
+    # the grid program checks its optimum for signed_mixture too
+    with pytest.raises(AssertionError, match="grid atoms do not reproduce"):
+        signed_mixture(P, 4)
 
 
 def test_probe_records_range_and_depth():

@@ -55,6 +55,26 @@ def test_unbounded_carries_checkable_ray():
     assert verify(lp, out)
 
 
+def test_verify_checks_a_ray_as_a_point_of_the_homogeneous_rows():
+    # max x0 + 2 x1 - x2  s.t.  x0 - x1 <= 1,  x1 - x2 = 0,  x2 free:
+    # the cone's rays are (a, b, b) with 0 <= a <= b, gaining a + b
+    lp = LinearProgram.build(
+        "max", [1, 2, -1], [((1, -1, 0), "<=", 1), ((0, 1, -1), "=", 0)], free=[2]
+    )
+    out = solve(lp)
+    assert out.status is LpStatus.UNBOUNDED and verify(lp, out)
+    assert solve_lp_by_enumeration(lp) == (LpStatus.UNBOUNDED, None)
+    assert verify(lp, replace(out, ray=(1, 1, 1)))
+    for ray in (
+        (1, 1),  # one entry short
+        (-1, 2, 2),  # negative on the bounded x0
+        (2, 1, 1),  # breaks the <= row
+        (1, 1, 0),  # drifts on the = row
+        (0, 0, 0),  # no objective gain
+    ):
+        assert not verify(lp, replace(out, ray=tuple(map(Fraction, ray))))
+
+
 def test_equalities_and_free_variables():
     # min x + 2y  s.t. x + y = 3, x free, y >= 0  ->  3 at (3, 0)
     lp = LinearProgram.build("min", [1, 2], [((1, 1), "=", 3)], free=[0])
