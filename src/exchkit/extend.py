@@ -309,13 +309,19 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     norm >= 1.  They are the nonnegative transport and the staircase
     witness (see :func:`_staircase_type_weights`), each checked by
     :func:`marginal_matches`.  Otherwise one solve of the norm program
-    decides, and one rule checks its weights for either verdict: their
-    marginal must be ``P`` and their total variation the norm.  That bounds
-    the norm from above; at norm 1 it also leaves no weight negative, since
-    the marginal keeps total mass, so the weights are the witness.  Above 1
-    the negated dual is a refutation, checked first through ``apply_U``:
-    ``sup |U g| = 1`` and ``E_P g == norm`` bound the norm from below.  No
-    check reads a decider's tables or urn columns.
+    decides.  It starts from the urn anchors: row ``mu`` starts with the
+    urn of ``mu + (N - n) * e_last`` basic.  Those urn columns are upper
+    triangular in ``enumerate_types`` order with a nonzero diagonal, since
+    the urn of ``lam + (N - n) * e_last`` draws ``mu`` only when ``mu``
+    and ``lam`` agree or ``mu`` is lexicographically smaller.  Split by
+    sign they are a feasible basis, so the simplex skips phase 1.  One
+    rule checks its weights for either verdict: their marginal must be
+    ``P`` and their total variation the norm.  That bounds the norm from
+    above; at norm 1 it also leaves no weight negative, since the marginal
+    keeps total mass, so the weights are the witness.  Above 1 the negated
+    dual is a refutation, checked first through ``apply_U``: ``sup |U g| =
+    1`` and ``E_P g == norm`` bound the norm from below.  No check reads a
+    decider's tables or urn columns.
 
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
@@ -335,7 +341,14 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
             witness = ExchangeableLaw(P.alphabet, N, _staircase_type_weights(steps, N, k))
     if witness is None:
         nus = enumerate_types(k, N)
-        weights, out = _min_total_variation(P, len(nus), (_urn_column(nu, P.n) for nu in nus))
+        index = {nu: v for v, nu in enumerate(nus)}
+        anchors = {
+            mu: index[_make_type((*mu.counts[:-1], mu.counts[-1] + N - P.n))]
+            for mu in enumerate_types(k, P.n)
+        }
+        weights, out = _min_total_variation(
+            P, len(nus), (_urn_column(nu, P.n) for nu in nus), anchors
+        )
         if weights is None or out.objective_value < 1:
             raise AssertionError("norm: the program must have an optimum of at least 1")
         norm = out.objective_value

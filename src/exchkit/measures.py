@@ -535,7 +535,10 @@ def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, 
 
 
 def _min_total_variation(
-    P: ExchangeableLaw, width: int, columns: Iterable[Iterable[tuple[TypeVector, Fraction]]]
+    P: ExchangeableLaw,
+    width: int,
+    columns: Iterable[Iterable[tuple[TypeVector, Fraction]]],
+    start: Optional[Mapping[TypeVector, int]] = None,
 ) -> tuple[Optional[tuple[Fraction, ...]], LpOutcome]:
     """Least total variation of a signed combination of the ``width``
     sparse ``(type, weight)`` columns reproducing ``P``: the signed weight
@@ -548,7 +551,13 @@ def _min_total_variation(
     one entry per mass-``n`` type in ``enumerate_types`` order: at the
     optimum the row duals, whose negation ``y`` has ``|y . column| <= 1``
     for every column and ``y . P`` equal to the value; otherwise a Farkas
-    vector, orthogonal to every column but not to ``P``."""
+    vector, orthogonal to every column but not to ``P``.
+
+    ``start``, if given, maps each mass-``n`` type to the column whose
+    positive part starts basic in that type's row; the simplex makes it
+    feasible by sign and skips phase 1 (see ``ratlp._Simplex``).  Those
+    columns must form a basis whose leading minors in ``enumerate_types``
+    order are nonzero, or the solve raises ``AssertionError``."""
     ensure_within_cap(max(2 * width, type_count(P.alphabet.size, P.n)), "lp dimensions")
     mus = enumerate_types(P.alphabet.size, P.n)
     index = {mu: r for r, mu in enumerate(mus)}
@@ -559,7 +568,8 @@ def _min_total_variation(
             rows[index[mu]][v] = coef
     cost = Fraction(-1)  # 1 in the min sense
     signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
-    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed).solve()
+    basis = None if start is None else [start.get(mu, -1) for mu in mus]
+    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed, basis).solve()
     if out.status is not LpStatus.OPTIMAL:
         return None, out
     return out.primal, replace(out, objective_value=-out.objective_value)

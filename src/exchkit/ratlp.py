@@ -1,16 +1,20 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-Two-phase primal simplex on a dense tableau with Bland's anti-cycling rule.
-The tableau is exact but fraction-free: each row is a list of integers over
-one positive denominator, so a pivot costs integer multiplications and one
-gcd per row rather than a gcd per entry.  The caller declares the signed
-columns the simplex works over, each +1 or -1 times one variable's column:
-:func:`solve` declares the two parts of a free variable, and the
-total-variation program in :mod:`exchkit.measures` the negative part of
-every weight.  Every row, the objective row included, stores each
-variable's column once, and a signed column is priced against its cost when
-the entering column is chosen.  Every number in an outcome is a
-:class:`fractions.Fraction`, and outcomes always carry enough data to be
+Primal simplex on a dense tableau with Bland's anti-cycling rule.  Phase 1
+looks for a feasible basis from all-artificial rows unless the caller names
+a start basis, one signed column per row: the simplex pivots it in, makes
+it feasible by sign and runs phase 2 alone.  Only the norm program of
+:mod:`exchkit.extend` names one, its urn anchors; :func:`solve` and the
+grid program run both phases.  The tableau is exact but fraction-free: each
+row is a list of integers over one positive denominator, so a pivot costs
+integer multiplications and one gcd per row rather than a gcd per entry.
+The caller declares the signed columns the simplex works over, each +1 or
+-1 times one variable's column: :func:`solve` declares the two parts of a
+free variable, and the total-variation program in :mod:`exchkit.measures`
+the negative part of every weight.  Every row, the objective row included,
+stores each variable's column once, and a signed column is priced against
+its cost when the entering column is chosen.  Every number in an outcome is
+a :class:`fractions.Fraction`, and outcomes always carry enough data to be
 re-checked independently by :func:`verify`:
 
 * ``OPTIMAL``   - primal point, objective value, and a dual vector with
@@ -19,9 +23,10 @@ re-checked independently by :func:`verify`:
   constraints proving emptiness;
 * ``UNBOUNDED`` - a feasible point plus an improving recession direction.
 
-The number of pivots in one solve, over both phases, is bounded by the
-resource cap (:mod:`exchkit.caps`), read once when the solve is set up;
-Bland's rule guarantees termination, so the cap only limits the work.
+The number of pivots in one solve, start pivots included, is bounded by
+the resource cap (:mod:`exchkit.caps`), read once when the solve is set
+up; Bland's rule guarantees termination from any feasible basis, so the
+cap only limits the work.
 
 Variables have lower bound 0 or are free; finite upper bounds are handled as
 appended ``x_j <= u_j`` rows.  Certificates are indexed by the constraint
@@ -200,9 +205,24 @@ class _Simplex:
     ``i``'s unit column over ``zden * cden`` is its dual.  The outcome's
     primal is per variable (the signed sum of its columns), and its value
     is in the maximization form.
+
+    ``start``, if given, names one signed column per row: ``start[i]`` is
+    pivoted into row ``i``, in row order and without pricing, so every
+    leading minor of the start basis must be nonzero (a triangular basis
+    in row order has them).  A row whose value then comes out negative is
+    negated and made basic in the opposite-sign column of the same
+    variable.  That leaves a primal-feasible basis with no artificial in
+    it, so the solve skips phase 1 and runs phase 2 from there.  A start
+    of the wrong length, a singular one, or a negative row without an
+    opposite-sign column raises ``AssertionError``.
     """
 
-    def __init__(self, rows: Sequence[Row], columns: Sequence[SignedColumn]):
+    def __init__(
+        self,
+        rows: Sequence[Row],
+        columns: Sequence[SignedColumn],
+        start: Optional[Sequence[int]] = None,
+    ):
         self.cols = [(j, sign) for j, sign, _ in columns]
         self.nvars = nvars = 1 + max(j for j, _ in self.cols)
         ncols = len(columns)
@@ -263,6 +283,9 @@ class _Simplex:
                 row[self.art_col[i] + shift] = den
             self.T.append(row)
             self.basis.append(self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i])
+        self._set_objective({}, 1)
+        if start is not None:
+            self._start(start)
 
     # -- tableau mechanics ---------------------------------------------------
 
@@ -295,6 +318,22 @@ class _Simplex:
         if f:
             self.z, self.zden = _eliminate(self.z, self.zden, f, prow, p)
         self.basis[row] = col
+
+    def _start(self, start: Sequence[int]) -> None:
+        if len(start) != len(self.T):
+            raise AssertionError("simplex: the start needs one column per row")
+        for i, col in enumerate(start):
+            if not 0 <= col < len(self.cols):
+                raise AssertionError("simplex: a start column must be a signed column")
+            self._pivot(i, col)
+        partner = {c: col for col, c in enumerate(self.cols)}
+        for i, row in enumerate(self.T):
+            if row[-1] < 0:
+                j, sign = self.cols[self.basis[i]]
+                if (j, -sign) not in partner:
+                    raise AssertionError("simplex: a negative start row has no opposite column")
+                self.T[i] = [-v for v in row]
+                self.basis[i] = partner[j, -sign]
 
     def _set_objective(self, cost: dict[int, int], cden: int) -> None:
         basic = [(cost[b], i) for i, b in enumerate(self.basis) if b in cost]
@@ -342,7 +381,7 @@ class _Simplex:
     # -- phases ---------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
-        if self.artificials:
+        if self.artificials.intersection(self.basis):
             self._set_objective(dict.fromkeys(self.artificials, -1), 1)
             if self._iterate(banned=set()) is not None:
                 raise AssertionError("simplex: phase 1 cannot be unbounded")

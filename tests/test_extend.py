@@ -123,9 +123,9 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
 
     solves = []
 
-    def counted(rows, columns):
+    def counted(rows, columns, start=None):
         solves.append(columns)
-        return _Simplex(rows, columns)
+        return _Simplex(rows, columns, start)
 
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
@@ -136,6 +136,49 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
     refutation = check_extendible(URN, 3).refutation
     assert expectation(URN, refutation) > sup_norm(apply_U(refutation, 3))
     assert len(solves) == 2
+
+
+def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
+    # With the fast paths off, every decision solves the norm program from
+    # its urn anchors: no artificial may be basic once they are pivoted in,
+    # so phase 1 never runs, and the optimum must equal that of the same
+    # program solved from all-artificial rows through phase 1.
+    import exchkit.extend as extend
+    import exchkit.measures as measures
+
+    values = []
+
+    def compared(rows, columns, start=None):
+        simplex = _Simplex(rows, columns, start)
+        assert simplex.pivots == len(rows) == len(start)
+        assert not simplex.artificials.intersection(simplex.basis)
+        solve = simplex.solve
+
+        def checked():
+            out = solve()
+            plain = _Simplex(rows, columns)
+            assert plain.artificials.intersection(plain.basis)
+            assert out.objective_value == plain.solve().objective_value
+            values.append(out.objective_value)
+            return out
+
+        simplex.solve = checked
+        return simplex
+
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
+    monkeypatch.setattr(measures, "_Simplex", compared)
+    rng = random.Random(24)
+    laws = [random_law(rng, k, n) for k in (1, 2, 3) for n in (1, 2, 3) for _ in range(2)]
+    cases = [(law, N) for law in laws for N in range(law.n, law.n + 4)]
+    rng = random.Random(2024)  # the laws of acceptance criterion 5
+    for _ in range(200):
+        law = random_law(rng, rng.randint(1, 3), rng.randint(1, 3), 12)
+        cases += [(law, N) for N in range(law.n, 6)]
+    for law, N in cases:
+        assert check_extendible(law, N).norm == -values[-1]
+    assert len(values) == len(cases)
+    assert {v == -1 for v in values} == {True, False}
 
 
 def test_transport_witness_fast_path():
@@ -274,9 +317,9 @@ def test_norm_takes_the_constructive_witness_first(monkeypatch):
 
     solves = []
 
-    def counted(rows, columns):
+    def counted(rows, columns, start=None):
         solves.append(columns)
-        return _Simplex(rows, columns)
+        return _Simplex(rows, columns, start)
 
     monkeypatch.setattr(measures, "_Simplex", counted)
     point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
@@ -303,9 +346,9 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
 
     solves = []
 
-    def counted(rows, columns):
+    def counted(rows, columns, start=None):
         solves.append(columns)
-        return _Simplex(rows, columns)
+        return _Simplex(rows, columns, start)
 
     monkeypatch.setattr(measures, "_Simplex", counted)
     monkeypatch.setenv("EXCHKIT_CAP", "10")
@@ -358,8 +401,8 @@ def test_norm_is_the_checked_decision(monkeypatch):
 
     import exchkit.measures as measures
 
-    def off_by_one(rows, columns):
-        simplex = _Simplex(rows, columns)
+    def off_by_one(rows, columns, start=None):
+        simplex = _Simplex(rows, columns, start)
         solve = simplex.solve
 
         def shifted():
@@ -386,8 +429,8 @@ def test_norm_one_claim_is_checked_by_its_weights(monkeypatch):
     import exchkit.extend as extend
     import exchkit.measures as measures
 
-    def claims_one(rows, columns):
-        simplex = _Simplex(rows, columns)
+    def claims_one(rows, columns, start=None):
+        simplex = _Simplex(rows, columns, start)
         solve = simplex.solve
 
         def claimed():
@@ -425,8 +468,8 @@ def test_refuted_norm_is_pinned_from_both_sides(monkeypatch):
 
     import exchkit.measures as measures
 
-    def dropped_row(rows, columns):
-        simplex = _Simplex(rows[:-1], columns)
+    def dropped_row(rows, columns, start=None):
+        simplex = _Simplex(rows[:-1], columns, start[:-1])
         solve = simplex.solve
 
         def padded():
@@ -896,8 +939,8 @@ def test_probe_refuses_grid_atoms_that_miss_the_law(monkeypatch):
     weights = {T((2, 0)): Fraction(5, 16), T((1, 1)): Fraction(3, 8), T((0, 2)): Fraction(5, 16)}
     P = ExchangeableLaw(Alphabet.of_size(2), 2, weights)
 
-    def forged(rows, columns):
-        simplex = _Simplex(rows, columns)
+    def forged(rows, columns, start=None):
+        simplex = _Simplex(rows, columns, start)
         solve = simplex.solve
 
         def swapped():

@@ -293,13 +293,52 @@ def test_mirrored_columns_agree_with_oracle():
     assert statuses == set(LpStatus)
 
 
+def test_start_basis_is_made_feasible_by_sign():
+    # x0 - x1 = -1 with x0 the start: its row comes out at -1, so the
+    # opposite-sign column of x0 takes its place and no phase 1 runs
+    one = Fraction(1)
+    rows = [((one, -one), "=", -one)]
+    columns = [(0, 1, -one), (1, 1, -one), (0, -1, -one), (1, -1, -one)]
+    simplex = _Simplex(rows, columns, [0])
+    assert simplex.basis == [2] and not simplex.artificials.intersection(simplex.basis)
+    out = simplex.solve()
+    assert out.status is LpStatus.OPTIMAL
+    assert out.primal == (-1, 0) and out.objective_value == -1
+    assert out.certificate == _Simplex(rows, columns).solve().certificate
+
+
+def test_bad_start_is_refused(monkeypatch, capsys):
+    # a start of the wrong length, a singular one or a negative row with no
+    # opposite-sign column is an internal error, never an outcome
+    from exchkit.cli import main
+
+    one = Fraction(1)
+    signed = [(0, 1, -one), (1, 1, -one), (0, -1, -one), (1, -1, -one)]
+    rows = [((one, one), "=", one), ((one, 2 * one), "=", 2 * one)]
+    assert _Simplex(rows, signed, [0, 1]).solve().primal == (0, 1)
+    for start in ([0], [0, 1, 0], [0, 0], [0, 2], [1, 3], [0, 4], [0, -1]):
+        with pytest.raises(AssertionError, match="simplex: "):
+            _Simplex(rows, signed, start).solve()
+    with pytest.raises(AssertionError, match="no opposite column"):
+        _Simplex([((one,), "=", -one)], [(0, 1, -one)], [0])
+
+    def repeated(rows, columns, start=None):
+        return _Simplex(rows, columns, [start[0]] * len(start))
+
+    monkeypatch.setattr(measures, "_Simplex", repeated)
+    law = '{"alphabet": ["0","1"], "n": 2, "weights": {"1:1": "1"}}'
+    assert main(["norm", law, "--N", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: internal: simplex: pivot on zero entry\n"
+
+
 def test_norm_program_stores_each_urn_column_once(monkeypatch):
     # {1:1:1 1/2, 3:0:0 1/2} at N=6: 28 urn columns, each declared with a
     # +1 and a -1 sign, over 10 equality rows (one artificial each) and the rhs
     tableaus = []
 
-    def capture(rows, columns):
-        tableau = _Simplex(rows, columns)
+    def capture(rows, columns, start=None):
+        tableau = _Simplex(rows, columns, start)
         tableaus.append((columns, len(tableau.T), {len(row) for row in tableau.T}, tableau.width))
         return tableau
 
@@ -321,13 +360,19 @@ def test_norm_program_stores_each_urn_column_once(monkeypatch):
 
 
 def test_bland_pivot_counts_are_pinned(monkeypatch):
-    # Pivots per solve, over both phases, of norm and grid programs under
-    # Bland's rule.  A rework of the pricing that keeps the rule keeps them;
-    # a new entering rule changes them on purpose, and says so here.
+    # Pivots per solve of norm and grid programs under Bland's rule, start
+    # pivots included.  A rework of the pricing that keeps the rule keeps
+    # them; a new entering rule or start changes them on purpose, and says
+    # so here.  The norm rows changed when the norm program began at its
+    # urn anchors and dropped phase 1: k3n3 at N=4..10 took 31, 58, 103,
+    # 182, 262, 331 and 442 pivots from all-artificial rows, pairs at
+    # N=3..6 took 32, 113, 188 and 294, and k3n3 at N=16 took 1,185.  Each
+    # norm count now includes 10 start pivots, one per mass-n type.  The
+    # grid rows run both phases as before and keep their counts.
     solves = []
 
-    def recorded(rows, columns):
-        solves.append(_Simplex(rows, columns))
+    def recorded(rows, columns, start=None):
+        solves.append(_Simplex(rows, columns, start))
         return solves[-1]
 
     def pivots(decide):
@@ -354,10 +399,11 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
         },
     )
     assert [pivots(lambda: norm_EN(k3n3, N)) for N in range(4, 11)] == [
-        [31], [58], [103], [182], [262], [331], [442]
+        [21], [26], [39], [56], [89], [110], [151]
     ]
+    assert pivots(lambda: norm_EN(k3n3, 16)) == [337]
     assert [pivots(lambda: norm_EN(pairs, N)) for N in range(3, 7)] == [
-        [32], [113], [188], [294]
+        [31], [66], [106], [171]
     ]
     assert pivots(lambda: represent.signed_mixture(pairs, 8)) == [329]
     assert pivots(lambda: represent.signed_mixture(mixed, 4)) == [4]
