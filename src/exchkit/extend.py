@@ -340,22 +340,17 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
         if steps is not None:
             witness = ExchangeableLaw(P.alphabet, N, _staircase_type_weights(steps, N, k))
     if witness is None:
-        nus = enumerate_types(k, N)
-        index = {nu: v for v, nu in enumerate(nus)}
         anchors = {
-            mu: index[_make_type((*mu.counts[:-1], mu.counts[-1] + N - P.n))]
+            mu: _make_type((*mu.counts[:-1], mu.counts[-1] + N - P.n))
             for mu in enumerate_types(k, P.n)
         }
-        weights, out = _min_total_variation(
-            P, len(nus), (_urn_column(nu, P.n) for nu in nus), anchors
+        signed, norm, y = _min_total_variation(
+            P, enumerate_types(k, N), lambda nu: _urn_column(nu, P.n), anchors
         )
-        if weights is None or out.objective_value < 1:
+        if signed is None or norm < 1:
             raise AssertionError("norm: the program must have an optimum of at least 1")
-        norm = out.objective_value
-        signed = {nu: w for nu, w in zip(nus, weights) if w}
         if norm > 1:
-            mus = enumerate_types(k, P.n)
-            g = SymmetricFunction(P.alphabet, P.n, {mu: -y for mu, y in zip(mus, out.certificate)})
+            g = SymmetricFunction(P.alphabet, P.n, y)
             if sup_norm(apply_U(g, N)) != 1 or expectation(P, g) != norm:
                 raise AssertionError("refutation: negated dual is not an optimal refutation")
         # the marginal keeps total mass, so at norm 1 no weight is negative

@@ -40,10 +40,13 @@ what keeps the extending-functional norm finite.
 
 Both kinds of measure also serve as columns of the one program that
 reproduces a law, the least total variation of a signed combination:
-urn columns for the extension questions, grid product laws
-(``_grid_columns``, read only by ``represent._grid_mixture``) for the
-mixture searches.  ``_min_total_variation`` checks its size against the
-cap, builds and solves it; no other code knows its layout.
+urn columns keyed by mass-``N`` type for the extension questions, product
+laws keyed by the points of ``simplex_grid`` (which checks the grid's size
+against the cap) for the mixture searches.  ``_min_total_variation``
+takes the keys and a function from key to column, checks the program's
+size against the cap, builds and solves it, and answers by key and by
+type: the signed weights by column key, the dual by mass-``n`` type.  Its
+rows, column positions and solver outcome stay inside this module.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -52,16 +55,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, le
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .caps import ensure_within_cap, resource_cap
 from .errors import InputError
-from .ratlp import LpOutcome, LpStatus, _Simplex
+from .ratlp import LpStatus, _Simplex
 from .typespace import (
     Alphabet,
     RationalLike,
@@ -210,6 +213,7 @@ def product_law(
         alphabet = Alphabet.of_size(k)
     elif alphabet.size != k:
         raise InputError("product_law: alphabet size does not match theta")
+    ensure_within_cap(type_count(k, n), "mass-n type space")
     return ExchangeableLaw(alphabet, n, _mixture_type_weights(((1, probs),), n))
 
 
@@ -516,63 +520,62 @@ def reconstruct_check(table: InversionTable) -> bool:
 def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
     """All probability vectors on ``k`` symbols with coordinates ``j/depth``.
 
-    Lexicographically increasing; there are ``C(depth + k - 1, k - 1)``.
+    Lexicographically increasing; there are ``C(depth + k - 1, k - 1)``,
+    checked against the ``simplex grid`` cap before any is built.
     """
     if _require_int(depth, "simplex_grid: depth") < 1:
         raise InputError("simplex_grid: depth must be >= 1")
+    ensure_within_cap(type_count(k, depth), "simplex grid")
     return [
         tuple(Fraction(c, depth) for c in tv.counts) for tv in enumerate_types(k, depth)
     ]
 
 
-def _grid_columns(P: ExchangeableLaw, depth: int) -> tuple[list[tuple[Fraction, ...]], Iterator]:
-    """The depth-``depth`` grid parameters, and the ``(type, weight)``
-    pairs of their product laws at mass ``P.n``, built one grid point at a
-    time as they are read."""
-    ensure_within_cap(type_count(P.alphabet.size, depth), "simplex grid")
-    thetas = simplex_grid(P.alphabet.size, depth)
-    return thetas, (_mixture_type_weights(((1, t),), P.n).items() for t in thetas)
-
-
 def _min_total_variation(
     P: ExchangeableLaw,
-    width: int,
-    columns: Iterable[Iterable[tuple[TypeVector, Fraction]]],
-    start: Optional[Mapping[TypeVector, int]] = None,
-) -> tuple[Optional[tuple[Fraction, ...]], LpOutcome]:
-    """Least total variation of a signed combination of the ``width``
-    sparse ``(type, weight)`` columns reproducing ``P``: the signed weight
-    of each column (None unless OPTIMAL) and the outcome.  Each weight is
-    one variable, declared to the simplex as a +1 column (its positive
-    part) and a -1 column (its negative part) at cost 1 each, all positive
-    parts first; no negated copy of a column is written.  The ``lp
-    dimensions`` cap is checked on ``width`` before any column is read, so
-    a lazy ``columns`` is never built over the cap.  Its certificate has
-    one entry per mass-``n`` type in ``enumerate_types`` order: at the
-    optimum the row duals, whose negation ``y`` has ``|y . column| <= 1``
-    for every column and ``y . P`` equal to the value; otherwise a Farkas
-    vector, orthogonal to every column but not to ``P``.
+    keys: Sequence[Hashable],
+    column: Callable[[Hashable], Iterable[tuple[TypeVector, Fraction]]],
+    start: Optional[Mapping[TypeVector, Hashable]] = None,
+) -> tuple[Optional[dict[Hashable, Fraction]], Optional[Fraction], dict[TypeVector, Fraction]]:
+    """Least total variation of a signed combination of the sparse
+    ``(mass-n type, weight)`` columns ``column(key)``, one per key,
+    reproducing ``P``: ``(weights, value, y)``.  ``weights`` maps each key
+    of nonzero signed weight to it, in key order, and ``value`` is the
+    optimum; both are None when no combination reproduces ``P``.  ``y``
+    maps every mass-``n`` type to a number: at the optimum the negated row
+    duals, with ``|y . column| <= 1`` for every column and ``y . P`` equal
+    to the value; otherwise a Farkas vector, orthogonal to every column but
+    not to ``P``.  The ``lp dimensions`` cap is checked on ``len(keys)``
+    before any column is built.  The layout stays here: one row per
+    mass-``n`` type, one variable per key, declared to the simplex as a +1
+    column (its positive part) and a -1 column (its negative part) at cost
+    1 each, all positive parts first.
 
-    ``start``, if given, maps each mass-``n`` type to the column whose
-    positive part starts basic in that type's row; the simplex makes it
-    feasible by sign and skips phase 1 (see ``ratlp._Simplex``).  Those
+    ``start``, if given, maps each mass-``n`` type to the key of the column
+    whose positive part starts basic in that type's row; the simplex makes
+    it feasible by sign and skips phase 1 (see ``ratlp._Simplex``).  Those
     columns must form a basis whose leading minors in ``enumerate_types``
     order are nonzero, or the solve raises ``AssertionError``."""
+    width = len(keys)
     ensure_within_cap(max(2 * width, type_count(P.alphabet.size, P.n)), "lp dimensions")
     mus = enumerate_types(P.alphabet.size, P.n)
     index = {mu: r for r, mu in enumerate(mus)}
     zero = Fraction(0)
     rows = [[zero] * width for _ in mus]
-    for v, column in enumerate(columns):
-        for mu, coef in column:
+    wanted = {key: index[mu] for mu, key in start.items()} if start else {}
+    basis = [-1] * len(mus) if start else None
+    for v, key in enumerate(keys):
+        for mu, coef in column(key):
             rows[index[mu]][v] = coef
+        if wanted and key in wanted:
+            basis[wanted[key]] = v
     cost = Fraction(-1)  # 1 in the min sense
     signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
-    basis = None if start is None else [start.get(mu, -1) for mu in mus]
     out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed, basis).solve()
     if out.status is not LpStatus.OPTIMAL:
-        return None, out
-    return out.primal, replace(out, objective_value=-out.objective_value)
+        return None, None, dict(zip(mus, out.certificate))
+    weights = {key: w for key, w in zip(keys, out.primal) if w}
+    return weights, -out.objective_value, {mu: -c for mu, c in zip(mus, out.certificate)}
 
 
 __all__ = [

@@ -81,13 +81,21 @@ class LinearProgram:
         for lo in self.lower:
             if lo is not None and lo != 0:
                 raise InputError("lp: lower bounds must be 0 or None (free)")
-        for coeffs, rel, _rhs in self.constraints:
+        # a float would be solved, and certified, at its binary value
+        exact = [*self.objective, *(b for b in (*self.lower, *self.upper) if b is not None)]
+        for coeffs, rel, rhs in self.constraints:
             if len(coeffs) != n:
                 raise InputError(
                     f"lp: constraint has {len(coeffs)} coefficients, expected {n}"
                 )
             if rel not in _RELATIONS:
                 raise InputError(f"lp: unknown relation {rel!r}")
+            exact += [*coeffs, rhs]
+        try:
+            for value in exact:
+                as_fraction(value)
+        except InputError as exc:
+            raise InputError(f"lp: {exc}") from None
 
     @property
     def num_vars(self) -> int:

@@ -7,8 +7,11 @@ total variation (the l1 norm of the weights), and reports exactly what it
 found: the atoms, their total variation, and - through :func:`reconstruct` -
 the exact law they reproduce.  The grid program is built, solved and its
 optimum checked against the law once, in ``_grid_mixture``, which the
-infinite-extendibility probe in ``extend`` reads too; its layout is
-``measures._min_total_variation``'s.
+infinite-extendibility probe in ``extend`` reads too.  It hands
+``measures._min_total_variation`` the grid points of
+``measures.simplex_grid`` as keys, each with its product law as the column,
+and reads the weights back by grid point; the program's layout stays in
+``measures``.
 
 A total variation of 1 means the mixture is an honest probability mixture;
 anything above 1 quantifies how far the law is from being one *on that
@@ -23,16 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .caps import ensure_within_cap
 from .errors import InputError
 from .measures import (
     Atom,
     ExchangeableLaw,
-    _grid_columns,
     _min_total_variation,
     _mixture_type_weights,
+    simplex_grid,
 )
 from .symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
-from .typespace import TypeVector, _require_int, as_fraction
+from .typespace import TypeVector, _require_int, as_fraction, type_count
 
 
 @dataclass(frozen=True)
@@ -81,11 +85,14 @@ def _grid_mixture(P: ExchangeableLaw, depth: int) -> Optional[SignedMixture]:
     The one grid program: :func:`signed_mixture` doubles its depth and
     ``extend.probe_infinite`` certifies from it.  The optimum is checked
     here, for both readers: atoms that miss ``P`` are an internal error."""
-    thetas, columns = _grid_columns(P, depth)
-    weights, _ = _min_total_variation(P, len(thetas), columns)
+    weights, _, _ = _min_total_variation(
+        P,
+        simplex_grid(P.alphabet.size, depth),
+        lambda theta: _mixture_type_weights(((1, theta),), P.n).items(),
+    )
     if weights is None:
         return None
-    mix = SignedMixture(tuple(zip(weights, thetas)))
+    mix = SignedMixture(tuple((w, theta) for theta, w in weights.items()))
     if _mixture_type_weights(mix.atoms, P.n) != dict(P.weights):
         raise AssertionError("represent: grid atoms do not reproduce the law")
     return mix
@@ -131,6 +138,7 @@ def reconstruct(mix: SignedMixture, n: int) -> dict[TypeVector, Fraction]:
         raise InputError("reconstruct: mixture has no atoms")
     if _require_int(n, "reconstruct: n") < 1:
         raise InputError("reconstruct: n must be >= 1")
+    ensure_within_cap(type_count(mix.width, n), "mass-n type space")
     return _mixture_type_weights(mix.atoms, n)
 
 

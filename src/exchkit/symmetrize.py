@@ -41,6 +41,13 @@ from .typespace import (
 )
 
 
+def _all_types(alphabet: Alphabet, m: int) -> list[TypeVector]:
+    """Every mass-``m`` type over ``alphabet``, after the cap check on
+    their number."""
+    ensure_within_cap(type_count(alphabet.size, m), "mass-m type space")
+    return enumerate_types(alphabet, m)
+
+
 @dataclass(frozen=True)
 class SymmetricFunction:
     """Function on length-``m`` sequences that depends only on the type.
@@ -57,8 +64,7 @@ class SymmetricFunction:
         m = self.m
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InputError(f"function: m must be a positive integer, got {m!r}")
-        k = self.alphabet.size
-        full = enumerate_types(k, m)
+        full = _all_types(self.alphabet, m)
         clean: dict[TypeVector, Fraction] = {}
         for tv in full:
             if tv not in self.values:
@@ -76,7 +82,7 @@ class SymmetricFunction:
         alphabet: Alphabet, m: int, values: Mapping[TypeVector, Fraction]
     ) -> "SymmetricFunction":
         """Build from a sparse map; absent types read as zero."""
-        full = {tv: Fraction(0) for tv in enumerate_types(alphabet.size, m)}
+        full = {tv: Fraction(0) for tv in _all_types(alphabet, m)}
         for tv, v in values.items():
             if tv not in full:
                 raise InputError(
@@ -89,7 +95,7 @@ class SymmetricFunction:
     def constant(alphabet: Alphabet, m: int, value: Fraction) -> "SymmetricFunction":
         value = as_fraction(value)
         return SymmetricFunction(
-            alphabet, m, {tv: value for tv in enumerate_types(alphabet.size, m)}
+            alphabet, m, {tv: value for tv in _all_types(alphabet, m)}
         )
 
     def value(self, tv: TypeVector) -> Fraction:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import exchkit.measures as measures
 from exchkit.extend import ExtendReport, InfiniteOutcome, InfiniteReport, Verdict, marginal_matches
 from exchkit.measures import ExchangeableLaw
-from exchkit.ratlp import LinearProgram
+from exchkit.ratlp import LinearProgram, _Simplex
 from exchkit.represent import SignedMixture, reconstruct
 from exchkit.symmetrize import SymmetricFunction, apply_U, expectation, sup_norm
 from exchkit.typespace import Alphabet, enumerate_types
@@ -72,6 +73,29 @@ def random_lp(rng: random.Random) -> LinearProgram:
     sense = rng.choice(("max", "min"))
     objective = [coeff() for _ in range(n)]
     return LinearProgram.build(sense, objective, constraints, free=free, upper=upper)
+
+
+def patch_simplex(monkeypatch, inputs=None, built=None, solved=None) -> None:
+    """Stand in for every simplex that ``measures`` builds: the one place
+    that declares ``ratlp._Simplex``'s arguments.  Each hook reads them by
+    name (``rows``, ``columns``, ``start``): ``inputs(args)`` may change
+    them before the simplex is built, ``built(simplex, args)`` sees it once
+    built, and ``solved(outcome, args)`` returns the outcome that its
+    ``solve`` reports instead of ``outcome``."""
+
+    def stand_in(rows, columns, start=None):
+        args = {"rows": rows, "columns": columns, "start": start}
+        if inputs is not None:
+            inputs(args)
+        simplex = _Simplex(**args)
+        if built is not None:
+            built(simplex, args)
+        if solved is not None:
+            solve = simplex.solve
+            simplex.solve = lambda: solved(solve(), args)
+        return simplex
+
+    monkeypatch.setattr(measures, "_Simplex", stand_in)
 
 
 def assert_report_certified(P: ExchangeableLaw, report: ExtendReport) -> None:

@@ -55,7 +55,13 @@ from exchkit.typespace import (
     type_of,
 )
 
-from helpers import assert_probe_certified, assert_report_certified, random_law, random_theta
+from helpers import (
+    assert_probe_certified,
+    assert_report_certified,
+    patch_simplex,
+    random_law,
+    random_theta,
+)
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
@@ -119,17 +125,11 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
     # switch the fast paths off so the norm program decides laws they cover,
     # and count its solves: one per decision, whichever the verdict
     import exchkit.extend as extend
-    import exchkit.measures as measures
 
     solves = []
-
-    def counted(rows, columns, start=None):
-        solves.append(columns)
-        return _Simplex(rows, columns, start)
-
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
-    monkeypatch.setattr(measures, "_Simplex", counted)
+    patch_simplex(monkeypatch, built=lambda simplex, args: solves.append(args["columns"]))
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
     report = check_extendible(P, 4)
     assert report.refutation is None and marginal_matches(report.witness, P)
@@ -144,30 +144,23 @@ def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
     # so phase 1 never runs, and the optimum must equal that of the same
     # program solved from all-artificial rows through phase 1.
     import exchkit.extend as extend
-    import exchkit.measures as measures
 
     values = []
 
-    def compared(rows, columns, start=None):
-        simplex = _Simplex(rows, columns, start)
-        assert simplex.pivots == len(rows) == len(start)
+    def started(simplex, args):
+        assert simplex.pivots == len(args["rows"]) == len(args["start"])
         assert not simplex.artificials.intersection(simplex.basis)
-        solve = simplex.solve
 
-        def checked():
-            out = solve()
-            plain = _Simplex(rows, columns)
-            assert plain.artificials.intersection(plain.basis)
-            assert out.objective_value == plain.solve().objective_value
-            values.append(out.objective_value)
-            return out
-
-        simplex.solve = checked
-        return simplex
+    def compared(out, args):
+        plain = _Simplex(args["rows"], args["columns"])
+        assert plain.artificials.intersection(plain.basis)
+        assert out.objective_value == plain.solve().objective_value
+        values.append(out.objective_value)
+        return out
 
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
-    monkeypatch.setattr(measures, "_Simplex", compared)
+    patch_simplex(monkeypatch, built=started, solved=compared)
     rng = random.Random(24)
     laws = [random_law(rng, k, n) for k in (1, 2, 3) for n in (1, 2, 3) for _ in range(2)]
     cases = [(law, N) for law in laws for N in range(law.n, law.n + 4)]
@@ -313,15 +306,9 @@ def test_norm_takes_the_constructive_witness_first(monkeypatch):
     # a transport or staircase witness pins the norm to 1 without a solve,
     # even where the norm program is over the cap
     import exchkit.extend as extend
-    import exchkit.measures as measures
 
     solves = []
-
-    def counted(rows, columns, start=None):
-        solves.append(columns)
-        return _Simplex(rows, columns, start)
-
-    monkeypatch.setattr(measures, "_Simplex", counted)
+    patch_simplex(monkeypatch, built=lambda simplex, args: solves.append(args["columns"]))
     point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
     assert norm_EN(point, 30_000) == 1
     staircase = dyadic_max_law(1, [1, 1])[0]  # uniform product on two symbols
@@ -342,15 +329,9 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
     # The type-space check allows |N_N| up to the cap, the norm program
     # needs 2|N_N| variables; in between only the transport can decide.
     import exchkit.extend as extend
-    import exchkit.measures as measures
 
     solves = []
-
-    def counted(rows, columns, start=None):
-        solves.append(columns)
-        return _Simplex(rows, columns, start)
-
-    monkeypatch.setattr(measures, "_Simplex", counted)
+    patch_simplex(monkeypatch, built=lambda simplex, args: solves.append(args["columns"]))
     monkeypatch.setenv("EXCHKIT_CAP", "10")
     point = ExchangeableLaw(Alphabet(("a", "b")), 3, {TypeVector((3, 0)): Fraction(1)})
     for N in (4, 5, 9):  # 5, 6 and 10 types
@@ -399,21 +380,11 @@ def test_norm_is_the_checked_decision(monkeypatch):
     # it, and norm_EN answers nothing that check_extendible would refuse
     import dataclasses
 
-    import exchkit.measures as measures
-
-    def off_by_one(rows, columns, start=None):
-        simplex = _Simplex(rows, columns, start)
-        solve = simplex.solve
-
-        def shifted():
-            out = solve()
-            return dataclasses.replace(out, objective_value=out.objective_value - 1)
-
-        simplex.solve = shifted
-        return simplex
+    def off_by_one(out, args):
+        return dataclasses.replace(out, objective_value=out.objective_value - 1)
 
     assert norm_EN(URN, 3) == 2
-    monkeypatch.setattr(measures, "_Simplex", off_by_one)
+    patch_simplex(monkeypatch, solved=off_by_one)
     with pytest.raises(AssertionError, match="not an optimal refutation"):
         check_extendible(URN, 3)
     with pytest.raises(AssertionError, match="not an optimal refutation"):
@@ -427,21 +398,13 @@ def test_norm_one_claim_is_checked_by_its_weights(monkeypatch):
     import dataclasses
 
     import exchkit.extend as extend
-    import exchkit.measures as measures
 
-    def claims_one(rows, columns, start=None):
-        simplex = _Simplex(rows, columns, start)
-        solve = simplex.solve
-
-        def claimed():
-            return dataclasses.replace(solve(), objective_value=Fraction(-1))
-
-        simplex.solve = claimed
-        return simplex
+    def claims_one(out, args):
+        return dataclasses.replace(out, objective_value=Fraction(-1))
 
     assert norm_EN(URN, 3) == 2
     monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
-    monkeypatch.setattr(measures, "_Simplex", claims_one)
+    patch_simplex(monkeypatch, solved=claims_one)
     for decide in (check_extendible, norm_EN):
         with pytest.raises(AssertionError, match="signed weights do not reproduce P at the norm"):
             decide(URN, 3)
@@ -466,22 +429,15 @@ def test_refuted_norm_is_pinned_from_both_sides(monkeypatch):
     # norm only from below; the signed weights miss the lost row of P.
     import dataclasses
 
-    import exchkit.measures as measures
+    def dropped_row(args):
+        args["rows"], args["start"] = args["rows"][:-1], args["start"][:-1]
 
-    def dropped_row(rows, columns, start=None):
-        simplex = _Simplex(rows[:-1], columns, start[:-1])
-        solve = simplex.solve
-
-        def padded():
-            out = solve()
-            return dataclasses.replace(out, certificate=(*out.certificate, Fraction(0)))
-
-        simplex.solve = padded
-        return simplex
+    def padded(out, args):
+        return dataclasses.replace(out, certificate=(*out.certificate, Fraction(0)))
 
     cases = ((K3N3, 4), (K3N3, 5), (K3N3, 6), (K4N3, 6))
     assert [norm_EN(P, N) for P, N in cases] == [2, Fraction(8, 3), Fraction(8, 3), Fraction(113, 96)]
-    monkeypatch.setattr(measures, "_Simplex", dropped_row)
+    patch_simplex(monkeypatch, inputs=dropped_row, solved=padded)
     for P, N in cases:
         for decide in (check_extendible, norm_EN):
             with pytest.raises(AssertionError, match="signed weights do not reproduce"):
@@ -934,25 +890,15 @@ def test_probe_refuses_grid_atoms_that_miss_the_law(monkeypatch):
     # variation 1, but its atoms no longer reproduce P
     import dataclasses
 
-    import exchkit.measures as measures
-
     weights = {T((2, 0)): Fraction(5, 16), T((1, 1)): Fraction(3, 8), T((0, 2)): Fraction(5, 16)}
     P = ExchangeableLaw(Alphabet.of_size(2), 2, weights)
 
-    def forged(rows, columns, start=None):
-        simplex = _Simplex(rows, columns, start)
-        solve = simplex.solve
+    def swapped(out, args):
+        primal = list(out.primal)
+        primal[0], primal[2] = primal[2], primal[0]  # now 1/2 at (0, 1), 1/6 at (1/2, 1/2)
+        return dataclasses.replace(out, primal=tuple(primal))
 
-        def swapped():
-            out = solve()
-            primal = list(out.primal)
-            primal[0], primal[2] = primal[2], primal[0]  # now 1/2 at (0, 1), 1/6 at (1/2, 1/2)
-            return dataclasses.replace(out, primal=tuple(primal))
-
-        simplex.solve = swapped
-        return simplex
-
-    monkeypatch.setattr(measures, "_Simplex", forged)
+    patch_simplex(monkeypatch, solved=swapped)
     with pytest.raises(AssertionError, match="grid atoms do not reproduce"):
         probe_infinite(P, 2, 4)  # N_max = n: no sweep, the grid solves first
     # the grid program checks its optimum for signed_mixture too

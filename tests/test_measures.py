@@ -10,9 +10,9 @@ from exchkit.errors import CapacityError, InputError
 from exchkit.measures import (
     ExchangeableLaw,
     InversionTable,
-    _grid_columns,
     _marginal,
     _min_total_variation,
+    _mixture_type_weights,
     _urn_column,
     invert_urn,
     marginalize,
@@ -396,6 +396,20 @@ def test_simplex_grid():
     assert all(sum(theta) == 1 for theta in simplex_grid(3, 4))
 
 
+def test_simplex_grid_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert len(simplex_grid(2, 4)) == 5  # 5 grid points fit
+    with pytest.raises(CapacityError, match="simplex grid: size 10"):
+        simplex_grid(3, 3)
+
+
+def test_product_law_respects_cap(monkeypatch):
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert len(product_law((Fraction(1, 2), Fraction(1, 2)), 4).weights) == 5
+    with pytest.raises(CapacityError, match="mass-n type space: size 10"):
+        product_law((Fraction(1, 3),) * 3, 3)  # 10 mass-3 types over 3 symbols
+
+
 def test_urn_measure_respects_cap(monkeypatch):
     monkeypatch.setenv("EXCHKIT_CAP", "5")
     assert len(urn_measure(T((3, 3)), 3).weights) == 4  # 4 compositions fit
@@ -431,10 +445,10 @@ def test_reconstruct_check_respects_cap(monkeypatch):
         reconstruct_check(table)  # walks all 10 mass-3 types
 
 
-def _combine(weights, columns):
+def _combine(weights, column):
     out = {}
-    for w, column in zip(weights, columns):
-        for mu, a in column:
+    for key, w in weights.items():
+        for mu, a in column(key):
             out[mu] = out.get(mu, Fraction(0)) + w * a
     return {mu: v for mu, v in out.items() if v}
 
@@ -443,27 +457,33 @@ def _pair(y, column):
     return sum((a * y[mu] for mu, a in column), Fraction(0))
 
 
+def _grid_column(n):
+    return lambda theta: _mixture_type_weights(((1, theta),), n).items()
+
+
 def test_min_total_variation_contract():
-    # read only the returned weights and the outcome's value and row duals
+    # read only the returned weights, value and dual, each keyed
     rng = random.Random(41)
     at_one = set()
     for k in (1, 2, 3):
         for n in (1, 2, 3):
             for _ in range(2):
                 P = random_law(rng, k, n)
-                urns = [_urn_column(nu, n) for nu in enumerate_types(k, n + rng.randint(0, 2))]
+                urns = (
+                    enumerate_types(k, n + rng.randint(0, 2)),
+                    lambda nu, n=n: _urn_column(nu, n),
+                )
                 # a grid of depth >= n spans every mass-n type law
-                grid = list(_grid_columns(P, n + rng.randint(0, 1))[1])
-                for columns in (urns, grid):
-                    weights, out = _min_total_variation(P, len(columns), columns)
-                    value = out.objective_value
-                    assert _combine(weights, columns) == dict(P.weights)
-                    assert sum((abs(w) for w in weights), Fraction(0)) == value
-                    assert (value == 1) == all(w >= 0 for w in weights)
+                grid = (simplex_grid(k, n + rng.randint(0, 1)), _grid_column(n))
+                for keys, column in (urns, grid):
+                    weights, value, y = _min_total_variation(P, keys, column)
+                    assert list(weights) == [key for key in keys if key in weights]
+                    assert _combine(weights, column) == dict(P.weights)
+                    assert sum((abs(w) for w in weights.values()), Fraction(0)) == value
+                    assert (value == 1) == all(w >= 0 for w in weights.values())
                     at_one.add(value == 1)
-                    # the duals of a "min" program belong to its negated form
-                    y = dict(zip(enumerate_types(k, n), (-c for c in out.certificate)))
-                    assert all(abs(_pair(y, column)) <= 1 for column in columns)
+                    # y is the negated dual of the "min" program, by type
+                    assert all(abs(_pair(y, column(key))) <= 1 for key in keys)
                     assert sum((y[mu] * P.weight(mu) for mu in y), Fraction(0)) == value
     assert at_one == {True, False}  # both mixtures and strictly signed optima
 
@@ -471,9 +491,8 @@ def test_min_total_variation_contract():
 def test_min_total_variation_infeasible_grid():
     # the depth-1 grid holds only the two point masses, which miss 1:1
     P = product_law((Fraction(1, 3), Fraction(2, 3)), 2)
-    columns = list(_grid_columns(P, 1)[1])
-    weights, out = _min_total_variation(P, len(columns), columns)
-    assert weights is None
-    y = dict(zip(enumerate_types(2, 2), out.certificate))
-    assert all(_pair(y, column) == 0 for column in columns)
+    keys, column = simplex_grid(2, 1), _grid_column(2)
+    weights, value, y = _min_total_variation(P, keys, column)
+    assert weights is None and value is None
+    assert all(_pair(y, column(key)) == 0 for key in keys)
     assert sum((y[mu] * P.weight(mu) for mu in y), Fraction(0)) != 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit import measures, represent
+from exchkit import represent
 from exchkit.caps import DEFAULT_RESOURCE_CAP
 from exchkit.corpus import disjoint_pairs_law
 from exchkit.errors import CapacityError, InputError
@@ -16,7 +16,7 @@ from exchkit.oracle import solve_lp_by_enumeration
 from exchkit.ratlp import LinearProgram, LpStatus, _Simplex, solve, verify
 from exchkit.typespace import Alphabet, TypeVector
 
-from helpers import random_lp
+from helpers import patch_simplex, random_lp
 
 
 def test_simple_maximum():
@@ -133,6 +133,23 @@ def test_validation_errors():
         LinearProgram.build("max", [1], [((1,), "<", 1)])
     with pytest.raises(InputError):
         LinearProgram.build("max", [], [])
+
+
+def test_floats_are_refused():
+    # 0.1 would be solved, and verified, at its binary value 3602879701896397/2**55
+    lp = LinearProgram((0, 1), "max", (((1, 1), "<=", 3),), (0, 0), (None, None))
+    assert solve(lp).objective_value == 3
+    bad = 0.1
+    for program in (
+        ((bad, 1), "max", (((1, 1), "<=", 3),), (0, 0), (None, None)),
+        ((0, 1), "max", (((bad, 1), "<=", 3),), (0, 0), (None, None)),
+        ((0, 1), "max", (((1, 1), "<=", bad),), (0, 0), (None, None)),
+        ((0, 1), "max", (((1, 1), "<=", 3),), (0, 0), (None, bad)),
+        ((0, 1), "max", (((1, 1), "<=", 3),), (0.0, 0), (None, None)),
+        ((0.1, 1), "max", (((1, 1), "<=", 0.3),), (0, 0), (None, None)),
+    ):
+        with pytest.raises(InputError, match="^lp: expected an exact rational, got float$"):
+            LinearProgram(*program)
 
 
 def test_capacity_error(monkeypatch):
@@ -322,10 +339,10 @@ def test_bad_start_is_refused(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="no opposite column"):
         _Simplex([((one,), "=", -one)], [(0, 1, -one)], [0])
 
-    def repeated(rows, columns, start=None):
-        return _Simplex(rows, columns, [start[0]] * len(start))
+    def repeated(args):
+        args["start"] = [args["start"][0]] * len(args["start"])
 
-    monkeypatch.setattr(measures, "_Simplex", repeated)
+    patch_simplex(monkeypatch, inputs=repeated)
     law = '{"alphabet": ["0","1"], "n": 2, "weights": {"1:1": "1"}}'
     assert main(["norm", law, "--N", "3"]) == 3
     out, err = capsys.readouterr()
@@ -337,12 +354,11 @@ def test_norm_program_stores_each_urn_column_once(monkeypatch):
     # +1 and a -1 sign, over 10 equality rows (one artificial each) and the rhs
     tableaus = []
 
-    def capture(rows, columns, start=None):
-        tableau = _Simplex(rows, columns, start)
-        tableaus.append((columns, len(tableau.T), {len(row) for row in tableau.T}, tableau.width))
-        return tableau
+    def capture(tableau, args):
+        rows = {len(row) for row in tableau.T}
+        tableaus.append((args["columns"], len(tableau.T), rows, tableau.width))
 
-    monkeypatch.setattr(measures, "_Simplex", capture)
+    patch_simplex(monkeypatch, built=capture)
     law = ExchangeableLaw(
         Alphabet.of_size(3),
         3,
@@ -371,10 +387,6 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
     # grid rows run both phases as before and keep their counts.
     solves = []
 
-    def recorded(rows, columns, start=None):
-        solves.append(_Simplex(rows, columns, start))
-        return solves[-1]
-
     def pivots(decide):
         solves.clear()
         decide()
@@ -382,7 +394,7 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
         assert all(len(simplex.z) == len(simplex.T[0]) for simplex in solves)
         return [simplex.pivots for simplex in solves]
 
-    monkeypatch.setattr(measures, "_Simplex", recorded)
+    patch_simplex(monkeypatch, built=lambda simplex, args: solves.append(simplex))
     k3n3 = ExchangeableLaw(
         Alphabet.of_size(3),
         3,

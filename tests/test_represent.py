@@ -127,9 +127,9 @@ def test_infeasible_grid_at_depth_n_is_an_internal_error(monkeypatch):
 
     widths = []
 
-    def infeasible(P, width, columns):
-        widths.append(width)
-        return None, None
+    def infeasible(P, keys, column, start=None):
+        widths.append(len(keys))
+        return None, None, {}
 
     monkeypatch.setattr(represent, "_min_total_variation", infeasible)
     with pytest.raises(AssertionError, match="depth-4 grid cannot represent a mass-3 law"):
@@ -234,6 +234,7 @@ def test_grid_program_over_the_cap_is_never_built(monkeypatch):
     # 61 grid points fit a cap of 100; the program's 122 variables do not
     import exchkit.extend as extend
     import exchkit.measures as measures
+    import exchkit.represent as represent
 
     P = product_law(HALF, 2)
     built = []
@@ -244,12 +245,21 @@ def test_grid_program_over_the_cap_is_never_built(monkeypatch):
         return weights(atoms, n)
 
     monkeypatch.setattr(measures, "_mixture_type_weights", counted)
+    monkeypatch.setattr(represent, "_mixture_type_weights", counted)
     monkeypatch.setenv("EXCHKIT_CAP", "100")
     with pytest.raises(CapacityError, match="lp dimensions: size 122"):
         signed_mixture(P, 60)
     with pytest.raises(CapacityError, match="lp dimensions: size 122"):
         extend._grid_mixture(P, 60)
     assert not built
+
+
+def test_reconstruct_respects_cap(monkeypatch):
+    mix = SignedMixture(((Fraction(1), (Fraction(1, 3),) * 3),))
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    assert len(reconstruct(SignedMixture(((Fraction(1), HALF),)), 4)) == 5
+    with pytest.raises(CapacityError, match="mass-n type space: size 10"):
+        reconstruct(mix, 3)  # 10 mass-3 types over 3 symbols
 
 
 def test_mixture_validation():

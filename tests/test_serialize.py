@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from exchkit.errors import InputError
+from exchkit.errors import CapacityError, InputError
 from exchkit.measures import urn_measure
 from exchkit.ratlp import LinearProgram, solve
 from exchkit.represent import SignedMixture
@@ -131,3 +131,12 @@ def test_lp_bounds_take_only_their_own_infinity(lower, upper):
         lp_from_dict(data)
     free = lp_from_dict(dict(data, lower=["-inf"], upper=["inf"]))
     assert free.lower == (None,) and free.upper == (None,)
+
+
+def test_function_from_dict_respects_cap(monkeypatch):
+    data = {"alphabet": list("abcdef"), "m": 2, "values": {}}  # 21 mass-2 types
+    monkeypatch.setenv("EXCHKIT_CAP", "21")
+    assert len(function_from_dict(data).values) == 21
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError, match="mass-m type space: size 21"):
+        function_from_dict(data)

@@ -178,6 +178,27 @@ def test_apply_U_reads_no_urn_column(monkeypatch):
     assert sup_norm(apply_U(SPIKE, 3)) == 1
 
 
+K3 = Alphabet.of_size(3)
+FULL_MASS_4 = {tv: Fraction(1) for tv in enumerate_types(3, 4)}  # 15 types
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SymmetricFunction(K3, 4, FULL_MASS_4),
+        lambda: SymmetricFunction.from_values(K3, 4, {}),
+        lambda: SymmetricFunction.constant(K3, 4, Fraction(1)),
+    ],
+    ids=["constructor", "from_values", "constant"],
+)
+def test_symmetric_function_respects_cap(monkeypatch, build):
+    monkeypatch.setenv("EXCHKIT_CAP", "15")
+    assert len(build().values) == 15
+    monkeypatch.setenv("EXCHKIT_CAP", "5")
+    with pytest.raises(CapacityError, match="mass-m type space: size 15"):
+        build()
+
+
 def test_sparse_construction_and_totality():
     g = SymmetricFunction.from_values(AB, 2, {T((1, 1)): Fraction(1)})
     assert g.values[T((2, 0))] == 0
