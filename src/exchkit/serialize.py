@@ -111,9 +111,7 @@ def function_to_dict(g: SymmetricFunction) -> dict:
     return {
         "alphabet": list(g.alphabet.symbols),
         "m": g.m,
-        "values": {
-            tv.typestring(): format_fraction(v) for tv, v in g.values.items() if v
-        },
+        "values": {tv.typestring(): format_fraction(v) for tv, v in g.values.items()},
     }
 
 
@@ -125,7 +123,7 @@ def function_from_dict(data: Mapping[str, Any], context: str = "function") -> Sy
         _require(data, "values", context), alphabet.size, f"{context}.values"
     )
     try:
-        return SymmetricFunction.from_values(alphabet, m, values)
+        return SymmetricFunction(alphabet, m, values)
     except InputError as exc:
         raise InputError(f"{context}: {exc}") from None
 

@@ -1,7 +1,8 @@
 """Symmetrization of type-indexed functions and expectations against laws.
 
 A symmetric function on length-``m`` sequences is constant on type classes,
-so it is stored as a total map from mass-``m`` types to rationals.  The
+so it is stored as a map from mass-``m`` types to rationals; like a law's
+weights, the map keeps only nonzero values, in increasing type order.  The
 averaging operator implemented by :func:`apply_U` sends a mass-``n``
 function to the mass-``N`` function whose value at an urn composition is the
 expectation of the original under ``n`` draws without replacement::
@@ -41,19 +42,28 @@ from .typespace import (
 )
 
 
-def _all_types(alphabet: Alphabet, m: int) -> list[TypeVector]:
-    """Every mass-``m`` type over ``alphabet``, after the cap check on
-    their number."""
-    ensure_within_cap(type_count(alphabet.size, m), "mass-m type space")
-    return enumerate_types(alphabet, m)
+def _check_type(tv, k: int, m: int) -> None:
+    """An input error unless ``tv`` is a type of width ``k`` and mass ``m``."""
+    if not isinstance(tv, TypeVector):
+        raise InputError(f"function: values keyed by TypeVector, got {tv!r}")
+    counts = tv.counts
+    if len(counts) != k:
+        raise InputError(f"function: type {tv.typestring()} has wrong width for k={k}")
+    if sum(counts) != m:
+        raise InputError(
+            f"function: type {tv.typestring()} has mass {sum(counts)}, expected {m}"
+        )
 
 
 @dataclass(frozen=True)
 class SymmetricFunction:
     """Function on length-``m`` sequences that depends only on the type.
 
-    ``values`` is total: every type of mass ``m`` has an entry (sparse input
-    is filled with zeros by :meth:`from_values`).
+    ``values`` keeps the nonzero values only, in increasing type order, as
+    :class:`~exchkit.measures.ExchangeableLaw` keeps its weights; an absent
+    type reads as zero through :meth:`value`.  Input may be sparse or
+    total; each key must be a mass-``m`` type of width ``k`` and each value
+    an exact rational.
     """
 
     alphabet: Alphabet
@@ -64,51 +74,38 @@ class SymmetricFunction:
         m = self.m
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InputError(f"function: m must be a positive integer, got {m!r}")
-        full = _all_types(self.alphabet, m)
-        clean: dict[TypeVector, Fraction] = {}
-        for tv in full:
-            if tv not in self.values:
-                raise InputError(
-                    f"function: missing value at type {tv.typestring()}; "
-                    "use SymmetricFunction.from_values for sparse input"
-                )
-            clean[tv] = as_fraction(self.values[tv])
-        if len(self.values) != len(full):
-            raise InputError("function: values contain types of the wrong mass")
-        object.__setattr__(self, "values", MappingProxyType(clean))
-
-    @staticmethod
-    def from_values(
-        alphabet: Alphabet, m: int, values: Mapping[TypeVector, Fraction]
-    ) -> "SymmetricFunction":
-        """Build from a sparse map; absent types read as zero."""
-        full = {tv: Fraction(0) for tv in _all_types(alphabet, m)}
-        for tv, v in values.items():
-            if tv not in full:
-                raise InputError(
-                    f"function: type {tv.typestring()} does not have mass {m}"
-                )
-            full[tv] = as_fraction(v)
-        return SymmetricFunction(alphabet, m, full)
+        k = self.alphabet.size
+        ensure_within_cap(type_count(k, m), "mass-m type space")
+        kept: dict[TypeVector, Fraction] = {}
+        for tv, v in self.values.items():
+            _check_type(tv, k, m)
+            v = as_fraction(v)
+            if v:
+                kept[tv] = v
+        object.__setattr__(self, "values", MappingProxyType(dict(sorted(kept.items()))))
 
     @staticmethod
     def constant(alphabet: Alphabet, m: int, value: Fraction) -> "SymmetricFunction":
-        value = as_fraction(value)
+        ensure_within_cap(type_count(alphabet.size, m), "mass-m type space")
         return SymmetricFunction(
-            alphabet, m, {tv: value for tv in _all_types(alphabet, m)}
+            alphabet, m, dict.fromkeys(enumerate_types(alphabet, m), value)
         )
 
     def value(self, tv: TypeVector) -> Fraction:
-        return self.values[tv]
+        """The value at ``tv``, zero if absent; a type of the wrong width or
+        mass is an input error."""
+        _check_type(tv, self.alphabet.size, self.m)
+        return self.values.get(tv, Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not self.values
 
 
 def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     """Average ``g`` over ``g.m`` draws without replacement from each
     mass-``N`` composition; output value at ``nu`` is
-    ``sum_mu a(nu, mu) g(mu)``.
+    ``sum_mu a(nu, mu) g(mu)``; like ``g``, the result keeps only its
+    nonzero values.
 
     Summed in integers over ``L * C(N, n)``, with ``L`` the lcm of the
     denominators of ``g``: each ``nu`` reads the
@@ -123,14 +120,13 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
     k = g.alphabet.size
     ensure_within_cap(type_count(k, N), "mass-N type space")
     common = math.lcm(*(v.denominator for v in g.values.values()))
-    # g's nonzero numerators, keyed like a draw: (nonzero counts, symbols),
-    # one symbol bare, as a one-slot itemgetter returns it
+    # g's numerators, keyed like a draw: (nonzero counts, symbols), one
+    # symbol bare, as a one-slot itemgetter returns it
     numerators = {}
     for mu, v in g.values.items():
-        if v:
-            sup = [i for i, c in enumerate(mu.counts) if c]
-            key = (tuple(filter(None, mu.counts)), sup[0] if len(sup) == 1 else tuple(sup))
-            numerators[key] = v.numerator * (common // v.denominator)
+        sup = [i for i, c in enumerate(mu.counts) if c]
+        key = (tuple(filter(None, mu.counts)), sup[0] if len(sup) == 1 else tuple(sup))
+        numerators[key] = v.numerator * (common // v.denominator)
     denominator = common * math.comb(N, n)
     positions = range(k)
     out: dict[TypeVector, Fraction] = {}
@@ -142,13 +138,15 @@ def apply_U(g: SymmetricFunction, N: int) -> SymmetricFunction:
             v = numerators.get((local, get(sup)))
             if v:
                 total += ways * v
-        out[nu] = Fraction(total, denominator)
+        if total:
+            out[nu] = Fraction(total, denominator)
     return SymmetricFunction(g.alphabet, N, out)
 
 
 def sup_norm(f: SymmetricFunction) -> Fraction:
-    """Maximum absolute value over all types (the sup norm on sequences)."""
-    return max(abs(v) for v in f.values.values())
+    """Maximum absolute value over all types (the sup norm on sequences);
+    zero for the zero function, whose map is empty."""
+    return max((abs(v) for v in f.values.values()), default=Fraction(0))
 
 
 def expectation(P: ExchangeableLaw, g: SymmetricFunction) -> Fraction:
@@ -157,7 +155,7 @@ def expectation(P: ExchangeableLaw, g: SymmetricFunction) -> Fraction:
         raise InputError("expectation: law and function use different alphabets")
     if P.n != g.m:
         raise InputError(f"expectation: mass mismatch, law n={P.n} vs function m={g.m}")
-    return sum((w * g.values[mu] for mu, w in P.weights.items()), Fraction(0))
+    return sum((w * g.value(mu) for mu, w in P.weights.items()), Fraction(0))
 
 
 def kernel_check(g: SymmetricFunction, N: int) -> bool:

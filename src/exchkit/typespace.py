@@ -38,10 +38,11 @@ RationalLike = Union[Fraction, int]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int or Fraction to Fraction; floats are rejected."""
+    """Coerce an int or Fraction to Fraction; floats and bools are rejected
+    (``True`` is no weight, as it is no count)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise InputError(f"expected an exact rational, got {type(value).__name__}")
 

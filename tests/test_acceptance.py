@@ -74,7 +74,7 @@ def test_criterion_1_urn_law_refuted_with_norm_2():
         assert_report_certified(law, report)
         assert norm_EN(law, 3) == 2
         # hand-checkable maximizer: E g = 2 against sup |U g| = 1
-        spike = SymmetricFunction.from_values(
+        spike = SymmetricFunction(
             law.alphabet,
             2,
             {T((2, 0)): Fraction(-1), T((1, 1)): Fraction(2), T((0, 2)): Fraction(-1)},

@@ -65,7 +65,7 @@ from helpers import (
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
-SPIKE = SymmetricFunction.from_values(
+SPIKE = SymmetricFunction(
     URN.alphabet,
     2,
     {T((2, 0)): Fraction(-1), T((1, 1)): Fraction(2), T((0, 2)): Fraction(-1)},

@@ -167,7 +167,7 @@ def test_tv_bound_constant_function():
 
 
 def test_tv_bound_spike_on_depth4_grid():
-    spike = SymmetricFunction.from_values(
+    spike = SymmetricFunction(
         URN.alphabet,
         2,
         {T((2, 0)): Fraction(-1), T((1, 1)): Fraction(2), T((0, 2)): Fraction(-1)},
@@ -183,7 +183,7 @@ def test_tv_bound_spike_on_depth4_grid():
 def test_tv_bound_spike_regression_values():
     # U_N of the (1,1) indicator peaks at N / (2(N-1)) for even N, which
     # falls toward the polynomial's maximum 1/2, so the bound rises to 2
-    spike = SymmetricFunction.from_values(
+    spike = SymmetricFunction(
         URN.alphabet, 2, {T((1, 1)): Fraction(1)}
     )
     bounds = [tv_lower_bound(URN, spike, N) for N in (2, 3, 8, 16)]
@@ -196,7 +196,7 @@ def test_tv_bound_zero_over_zero_is_zero():
     law = product_law((Fraction(1), Fraction(0)), 2)
     zero = SymmetricFunction.constant(law.alphabet, 2, Fraction(0))
     assert tv_lower_bound(law, zero, 2) == 0
-    g = SymmetricFunction.from_values(law.alphabet, 2, {T((1, 1)): Fraction(1)})
+    g = SymmetricFunction(law.alphabet, 2, {T((1, 1)): Fraction(1)})
     assert tv_lower_bound(law, g, 2) == 0  # E_P g = 0 over sup |U g| = 1
 
 

@@ -23,7 +23,7 @@ from helpers import random_function
 T = TypeVector
 AB = Alphabet(("a", "b"))
 
-SPIKE = SymmetricFunction.from_values(
+SPIKE = SymmetricFunction(
     AB, 2, {T((2, 0)): Fraction(-1), T((1, 1)): Fraction(2), T((0, 2)): Fraction(-1)}
 )
 
@@ -31,7 +31,7 @@ SPIKE = SymmetricFunction.from_values(
 def test_apply_U_preserves_constants():
     one = SymmetricFunction.constant(AB, 2, Fraction(1))
     lifted = apply_U(one, 5)
-    assert all(v == 1 for v in lifted.values.values())
+    assert dict(lifted.values) == dict.fromkeys(enumerate_types(AB, 5), Fraction(1))
 
 
 def test_apply_U_hand_example():
@@ -60,7 +60,7 @@ def test_expectation_examples():
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2, AB)
     one = SymmetricFunction.constant(AB, 2, Fraction(1))
     assert expectation(P, one) == 1
-    indicator = SymmetricFunction.from_values(AB, 2, {T((1, 1)): Fraction(1)})
+    indicator = SymmetricFunction(AB, 2, {T((1, 1)): Fraction(1)})
     assert expectation(P, indicator) == Fraction(1, 2)
     uniform_mixed = urn_measure(T((1, 1)), 2, AB)
     assert expectation(uniform_mixed, SPIKE) == 2
@@ -83,7 +83,7 @@ def test_kernel_trivial_on_indicators(k, n):
     alphabet = Alphabet.of_size(k)
     for N in range(n, 7):
         for mu in enumerate_types(k, n):
-            g = SymmetricFunction.from_values(alphabet, n, {mu: Fraction(1)})
+            g = SymmetricFunction(alphabet, n, {mu: Fraction(1)})
             assert not kernel_check(g, N)
 
 
@@ -123,17 +123,19 @@ def test_adjoint_identity():
             lifted = apply_U(g, N)
             for nu in enumerate_types(k, N):
                 law = urn_measure(nu, 2, alphabet)
-                assert expectation(law, g) == lifted.values[nu]
+                assert expectation(law, g) == lifted.value(nu)
 
 
 def _brute_U(g, N):
     """(U g)(nu) as the sum of urn_coefficient(nu, mu) * g(mu) over every
-    mass-m type mu, in Fractions."""
+    mass-m type mu, in Fractions, with the zero sums dropped as
+    ``SymmetricFunction`` drops them."""
     mus = enumerate_types(g.alphabet.size, g.m)
-    return {
-        nu: sum((urn_coefficient(nu, mu) * g.values[mu] for mu in mus), Fraction(0))
+    sums = {
+        nu: sum((urn_coefficient(nu, mu) * g.value(mu) for mu in mus), Fraction(0))
         for nu in enumerate_types(g.alphabet.size, N)
     }
+    return {nu: v for nu, v in sums.items() if v}
 
 
 def test_apply_U_equals_the_brute_urn_sum():
@@ -143,11 +145,12 @@ def test_apply_U_equals_the_brute_urn_sum():
         alphabet = Alphabet.of_size(k)
         for n in (1, 2, 3):
             for _ in range(3):
-                g = SymmetricFunction(alphabet, n, {
+                given = {
                     mu: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
                     for mu in enumerate_types(k, n)
-                })
-                values = list(g.values.values())
+                }
+                g = SymmetricFunction(alphabet, n, given)
+                values = list(given.values())
                 seen.update(("zero" for v in values if v == 0))
                 seen.update(("negative" for v in values if v < 0))
                 if len({v.denominator for v in values if v}) > 1:
@@ -183,29 +186,65 @@ FULL_MASS_4 = {tv: Fraction(1) for tv in enumerate_types(3, 4)}  # 15 types
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,stored",
     [
-        lambda: SymmetricFunction(K3, 4, FULL_MASS_4),
-        lambda: SymmetricFunction.from_values(K3, 4, {}),
-        lambda: SymmetricFunction.constant(K3, 4, Fraction(1)),
+        (lambda: SymmetricFunction(K3, 4, FULL_MASS_4), 15),
+        (lambda: SymmetricFunction(K3, 4, {T((1, 1, 2)): Fraction(1)}), 1),
+        (lambda: SymmetricFunction.constant(K3, 4, Fraction(1)), 15),
     ],
-    ids=["constructor", "from_values", "constant"],
+    ids=["constructor", "sparse", "constant"],
 )
-def test_symmetric_function_respects_cap(monkeypatch, build):
+def test_symmetric_function_respects_cap(monkeypatch, build, stored):
     monkeypatch.setenv("EXCHKIT_CAP", "15")
-    assert len(build().values) == 15
+    assert len(build().values) == stored
     monkeypatch.setenv("EXCHKIT_CAP", "5")
     with pytest.raises(CapacityError, match="mass-m type space: size 15"):
         build()
 
 
 def test_sparse_construction_and_totality():
-    g = SymmetricFunction.from_values(AB, 2, {T((1, 1)): Fraction(1)})
-    assert g.values[T((2, 0))] == 0
+    g = SymmetricFunction(AB, 2, {T((1, 1)): Fraction(1)})
+    assert g.value(T((2, 0))) == 0
     with pytest.raises(InputError):
-        SymmetricFunction(AB, 2, {T((1, 1)): Fraction(1)})  # not total
+        SymmetricFunction(AB, 2, {T((1, 1, 1)): Fraction(1)})  # wrong width
     with pytest.raises(InputError):
-        SymmetricFunction.from_values(AB, 2, {T((1, 1, 1)): Fraction(1)})
+        SymmetricFunction(AB, 2, {T((2, 1)): Fraction(1)})  # wrong mass
+
+
+def test_sparse_input_equals_explicit_zeros():
+    sparse = SymmetricFunction(AB, 2, {T((1, 1)): Fraction(1)})
+    # given out of type order and with zeros, the same function is stored
+    total = SymmetricFunction(AB, 2, {T((2, 0)): 0, T((1, 1)): 1, T((0, 2)): Fraction(0)})
+    assert sparse == total
+    assert dict(total.values) == {T((1, 1)): Fraction(1)}
+    unordered = SymmetricFunction(AB, 2, {T((2, 0)): 1, T((0, 2)): 2})
+    assert list(unordered.values) == [T((0, 2)), T((2, 0))]
+    assert SymmetricFunction.constant(AB, 2, 0) == SymmetricFunction(AB, 2, {})
+
+
+def test_value_is_strict_about_its_type():
+    g = SymmetricFunction.constant(AB, 2, Fraction(1))
+    assert g.value(T((0, 2))) == 1
+    for tv, fault in ((T((1, 1, 0)), "1:1:0 has wrong width"), (T((2, 1)), "2:1 has mass 3")):
+        with pytest.raises(InputError, match=fault):
+            g.value(tv)
+    with pytest.raises(InputError, match="keyed by TypeVector"):
+        g.value((1, 1))
+
+
+def test_apply_U_enumerates_the_mass_N_types_once(monkeypatch):
+    import exchkit.symmetrize as symmetrize
+
+    masses = []
+
+    def counted(alphabet, mass):
+        masses.append(mass)
+        return enumerate_types(alphabet, mass)
+
+    monkeypatch.setattr(symmetrize, "enumerate_types", counted)
+    lifted = apply_U(SPIKE, 5)
+    assert masses == [5]
+    assert sup_norm(lifted) == 1
 
 
 def test_m_must_be_a_positive_int():
@@ -213,11 +252,11 @@ def test_m_must_be_a_positive_int():
         with pytest.raises(InputError, match="function: m must be a positive integer"):
             SymmetricFunction(AB, m, {T((1, 1)): Fraction(1)})
     with pytest.raises(InputError):
-        SymmetricFunction.from_values(AB, 2.0, {})
+        SymmetricFunction(AB, 2.0, {})
 
 
 def test_apply_U_respects_cap(monkeypatch):
-    g = SymmetricFunction.from_values(Alphabet(("a", "b", "c")), 1, {T((1, 0, 0)): Fraction(1)})
+    g = SymmetricFunction(Alphabet(("a", "b", "c")), 1, {T((1, 0, 0)): Fraction(1)})
     monkeypatch.setenv("EXCHKIT_CAP", "5")
     with pytest.raises(CapacityError):
         apply_U(g, 6)  # 28 mass-6 types

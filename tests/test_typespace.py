@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exchkit.errors import InputError
+from exchkit.measures import ExchangeableLaw
+from exchkit.ratlp import LinearProgram
 from exchkit.typespace import (
     Alphabet,
     TypeVector,
+    as_fraction,
     enumerate_types,
     format_fraction,
     multiset_count,
@@ -97,6 +100,18 @@ def test_type_rejects_bool_counts():
     # True would hash and compare equal to 1, and print as "True"
     with pytest.raises(InputError, match="counts must be nonnegative integers, got True"):
         TypeVector((True, 1))
+
+
+def test_bools_are_no_rationals():
+    # True would read as 1: a law of weight True, a program maximizing True
+    assert as_fraction(1) == 1 and as_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    for flag in (True, False):
+        with pytest.raises(InputError, match="^expected an exact rational, got bool$"):
+            as_fraction(flag)
+    with pytest.raises(InputError, match="got bool"):
+        ExchangeableLaw(Alphabet.of_size(1), 1, {TypeVector((1,)): True})
+    with pytest.raises(InputError, match="got bool"):
+        LinearProgram.build("max", [True])
 
 
 def test_type_of_rejects_bad_index():
