@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, le
+from operator import itemgetter, le, lt
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -373,6 +373,10 @@ class InversionTable:
     ``l1`` is the total absolute mass of the coefficients; for fixed
     ``(n, N, k)`` it depends only on the multiset of nonzero counts of
     ``mu``, which is what bounds the extending functional uniformly.
+    ``N`` is an ``int`` of at least ``mu``'s mass, the keys are types of
+    ``mu``'s width and of mass ``N``, and the coefficients exact
+    rationals; zero coefficients are dropped and the keys kept in
+    increasing order, as a law's are.
     """
 
     mu: TypeVector
@@ -380,7 +384,23 @@ class InversionTable:
     coeffs: WeightMap
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        mu, N = self.mu, self.N
+        if not isinstance(mu, TypeVector):
+            raise InputError(f"inversion table: mu must be a TypeVector, got {mu!r}")
+        if _require_int(N, "inversion table: N") < mu.mass:
+            raise InputError(f"inversion table: need N >= mass of mu, got N={N} < {mu.mass}")
+        kept = {}
+        for nu, c in self.coeffs.items():
+            if not isinstance(nu, TypeVector):
+                raise InputError(f"inversion table: coeffs keyed by TypeVector, got {nu!r}")
+            if nu.width != mu.width or nu.mass != N:
+                raise InputError(
+                    f"inversion table: {nu.typestring()} is no width-{mu.width} type of mass {N}"
+                )
+            c = as_fraction(c)
+            if c:
+                kept[nu] = c
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(sorted(kept.items()))))
 
     @property
     def n(self) -> int:
@@ -511,8 +531,6 @@ def reconstruct_check(table: InversionTable) -> bool:
     """
     mu = table.mu
     n, k = mu.mass, mu.width
-    if any(nu.width != k or nu.mass != table.N for nu in table.coeffs):
-        return False
     ensure_within_cap(type_count(k, n), "mass-n type space")
     return _marginal(table.coeffs, k, n) == {mu: Fraction(1)}
 
@@ -535,7 +553,6 @@ def _min_total_variation(
     P: ExchangeableLaw,
     keys: Sequence[Hashable],
     column: Callable[[Hashable], Iterable[tuple[TypeVector, Fraction]]],
-    start: Optional[Mapping[TypeVector, Hashable]] = None,
 ) -> tuple[Optional[dict[Hashable, Fraction]], Optional[Fraction], dict[TypeVector, Fraction]]:
     """Least total variation of a signed combination of the sparse
     ``(mass-n type, weight)`` columns ``column(key)``, one per key,
@@ -551,27 +568,26 @@ def _min_total_variation(
     column (its positive part) and a -1 column (its negative part) at cost
     1 each, all positive parts first.
 
-    ``start``, if given, maps each mass-``n`` type to the key of the column
-    whose positive part starts basic in that type's row; the simplex makes
-    it feasible by sign and skips phase 1 (see ``ratlp._Simplex``).  Those
-    columns must form a basis whose leading minors in ``enumerate_types``
-    order are nonzero, or the solve raises ``AssertionError``."""
+    The start is read off the columns: if each row's first nonzero column
+    lies right of the row above's, these positive parts are triangular with
+    a nonzero diagonal, a basis the simplex makes feasible by sign and so
+    skips phase 1 (see ``ratlp._Simplex``); else both phases run.  Urn
+    columns always offer it, row ``mu`` first meeting its anchor
+    ``mu + (N - n) * e_last``; grid columns only at mass 1."""
     width = len(keys)
     ensure_within_cap(max(2 * width, type_count(P.alphabet.size, P.n)), "lp dimensions")
     mus = enumerate_types(P.alphabet.size, P.n)
     index = {mu: r for r, mu in enumerate(mus)}
     zero = Fraction(0)
     rows = [[zero] * width for _ in mus]
-    wanted = {key: index[mu] for mu, key in start.items()} if start else {}
-    basis = [-1] * len(mus) if start else None
     for v, key in enumerate(keys):
         for mu, coef in column(key):
             rows[index[mu]][v] = coef
-        if wanted and key in wanted:
-            basis[wanted[key]] = v
+    firsts = [next(itertools.compress(itertools.count(), row), width) for row in rows]
+    start = firsts if all(map(lt, firsts, [*firsts[1:], width])) else None
     cost = Fraction(-1)  # 1 in the min sense
     signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
-    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed, basis).solve()
+    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed, start).solve()
     if out.status is not LpStatus.OPTIMAL:
         return None, None, dict(zip(mus, out.certificate))
     weights = {key: w for key, w in zip(keys, out.primal) if w}

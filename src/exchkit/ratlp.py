@@ -3,11 +3,12 @@
 Primal simplex on a dense tableau with Bland's anti-cycling rule.  Phase 1
 looks for a feasible basis from all-artificial rows unless the caller names
 a start basis, one signed column per row: the simplex pivots it in, makes
-it feasible by sign and runs phase 2 alone.  Only the norm program of
-:mod:`exchkit.extend` names one, its urn anchors; :func:`solve` and the
-grid program run both phases.  The tableau is exact but fraction-free: each
-row is a list of integers over one positive denominator, so a pivot costs
-integer multiplications and one gcd per row rather than a gcd per entry.
+it feasible by sign and runs phase 2 alone.  Only the total-variation
+program of :mod:`exchkit.measures` names one, read off its own columns
+when they are triangular; :func:`solve` runs both phases.  The tableau is
+exact but fraction-free: each row is a list of integers over one positive
+denominator, so a pivot costs integer multiplications and one gcd per row
+rather than a gcd per entry.
 The caller declares the signed columns the simplex works over, each +1 or
 -1 times one variable's column: :func:`solve` declares the two parts of a
 free variable, and the total-variation program in :mod:`exchkit.measures`
@@ -220,9 +221,10 @@ class _Simplex:
     in row order has them).  A row whose value then comes out negative is
     negated and made basic in the opposite-sign column of the same
     variable.  That leaves a primal-feasible basis with no artificial in
-    it, so the solve skips phase 1 and runs phase 2 from there.  A start
-    of the wrong length, a singular one, or a negative row without an
-    opposite-sign column raises ``AssertionError``.
+    it, so the solve skips phase 1 and runs phase 2 from there.  Only
+    ``measures._min_total_variation`` names a start, when its columns are
+    triangular.  A start of the wrong length, a singular one, or a
+    negative row without an opposite-sign column raises ``AssertionError``.
     """
 
     def __init__(
@@ -309,10 +311,7 @@ class _Simplex:
         if p < 0:
             prow = [-v for v in prow]
             p = -p
-        g = gcd(*prow)
-        if g != 1:
-            prow = [v // g for v in prow]
-            p //= g
+        # gcd(*prow) is 1: prow holds +-den at its old basic column and gcd(den, *prow) == 1
         T[row] = prow
         self.den[row] = p
         for r, other in enumerate(T):

@@ -136,10 +136,7 @@ def inversion_table_to_dict(table: InversionTable) -> dict:
         "mu": table.mu.typestring(),
         "n": table.n,
         "N": table.N,
-        "coeffs": {
-            nu.typestring(): format_fraction(c)
-            for nu, c in sorted(table.coeffs.items())
-        },
+        "coeffs": {nu.typestring(): format_fraction(c) for nu, c in table.coeffs.items()},
         "l1": format_fraction(table.l1),
     }
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 import exchkit
 from exchkit.cli import main
@@ -199,6 +200,17 @@ def test_corpus_urn_and_dyadic(capsys):
     assert claims["mixture_certifies_infinite"] is True
 
 
+@pytest.mark.parametrize("ones, theta", [("0", ["1/1", "0/1"]), ("3", ["0/1", "1/1"])])
+def test_corpus_urn_of_one_colour_is_probed(capsys, ones, theta):
+    # an urn of one colour draws an i.i.d. law: the probe certifies it with
+    # its single atom
+    code, out, _ = run_cli(capsys, "corpus", "urn", "--n", "3", "--ones", ones)
+    assert code == 0
+    claims = json.loads(out)["claims"]
+    assert claims["certified_infinite"] is True
+    assert claims["probe"]["mixture"] == [{"theta": theta, "weight": "1/1"}]
+
+
 def test_corpus_urn_needs_a_larger_N(capsys):
     # a non-extendible urn checked at no N at all would be a vacuous claim
     for top in ("2", "3"):
@@ -352,6 +364,20 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "norm", URN_LAW, "--N", "3")
     assert code == 0
     assert "norm: 2/1" in out
+
+
+def test_text_format_renders_lists(capsys):
+    # a list of scalars, one item a line, and a list of objects, each a
+    # bare "-" with its fields indented below
+    types = '{"alphabet": ["a","b"], "mass": 2}'
+    code, out, _ = run_cli(capsys, "--format", "text", "types", types)
+    assert code == 0
+    assert "\ntypes:\n  - 0:2\n  - 1:1\n  - 2:0\n" in out
+    iid = '{"alphabet": ["0","1"], "n": 2, "weights": {"2:0": "1/4", "1:1": "1/2", "0:2": "1/4"}}'
+    code, out, _ = run_cli(capsys, "--format", "text", "probe", iid, "--max-N", "4")
+    assert code == 0
+    assert "\nmixture:\n  -\n    theta:\n      - 1/2\n      - 1/2\n    weight: 1/1\n" in out
+    assert "\noutcome: certified_infinite\n" in out
 
 
 def test_seed_recorded_in_meta(capsys):

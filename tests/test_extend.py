@@ -140,9 +140,10 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
 
 def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
     # With the fast paths off, every decision solves the norm program from
-    # its urn anchors: no artificial may be basic once they are pivoted in,
-    # so phase 1 never runs, and the optimum must equal that of the same
-    # program solved from all-artificial rows through phase 1.
+    # its urn anchors, the triangular start read off its urn columns: no
+    # artificial may be basic once they are pivoted in, so phase 1 never
+    # runs, and the optimum must equal that of the same program solved
+    # from all-artificial rows through phase 1.
     import exchkit.extend as extend
 
     values = []
@@ -172,6 +173,38 @@ def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
         assert check_extendible(law, N).norm == -values[-1]
     assert len(values) == len(cases)
     assert {v == -1 for v in values} == {True, False}
+
+
+def test_norm_start_is_the_urn_anchors(monkeypatch):
+    # The start read off the urn columns is, row by row, the position of
+    # mu + (N - n) * e_last in enumerate_types(k, N).  The columns do not
+    # depend on the law, so the solve is cut short once the start is seen.
+    import exchkit.extend as extend
+
+    class Seen(Exception):
+        pass
+
+    def stop(args):
+        starts.append(args["start"])
+        raise Seen
+
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
+    patch_simplex(monkeypatch, inputs=stop)
+    rng = random.Random(31)
+    for k in (1, 2, 3, 4):
+        for n in (1, 2, 3):
+            law = random_law(rng, k, n)
+            for N in range(n, n + 5):
+                starts = []
+                with pytest.raises(Seen):
+                    check_extendible(law, N)
+                position = {nu: v for v, nu in enumerate(enumerate_types(k, N))}
+                anchors = [
+                    position[T((*mu.counts[:-1], mu.counts[-1] + N - n))]
+                    for mu in enumerate_types(k, n)
+                ]
+                assert starts == [anchors]
 
 
 def test_transport_witness_fast_path():

@@ -185,6 +185,33 @@ def test_reconstruct_check_rejects_perturbation():
 
 
 
+@pytest.mark.parametrize(
+    "mu, N, coeffs, message",
+    [
+        ((1, 1), 2, {}, "mu must be a TypeVector"),
+        (T((1, 1)), True, {}, "N: expected an integer, got bool"),
+        (T((1, 1)), 1, {}, "need N >= mass of mu, got N=1 < 2"),
+        (T((1, 1)), 2, {"x": 1}, "coeffs keyed by TypeVector, got 'x'"),
+        (T((1, 1)), 2, {T((2, 0, 0)): 1}, "2:0:0 is no width-2 type of mass 2"),
+        (T((1, 1)), 2, {T((3, 0)): 1}, "3:0 is no width-2 type of mass 2"),
+        (T((1, 1)), 2, {T((2, 0)): 0.5}, "expected an exact rational, got float"),
+        (T((1, 1)), 2, {T((2, 0)): True}, "expected an exact rational, got bool"),
+    ],
+)
+def test_inversion_table_checks_its_input(mu, N, coeffs, message):
+    with pytest.raises(InputError, match=message):
+        InversionTable(mu, N, coeffs)
+
+
+def test_inversion_table_drops_zeros_and_sorts():
+    from exchkit.serialize import inversion_table_to_dict
+
+    table = InversionTable(T((1, 1)), 3, {T((2, 1)): 2, T((0, 3)): 0, T((1, 2)): Fraction(-1)})
+    assert list(table.coeffs.items()) == [(T((1, 2)), -1), (T((2, 1)), 2)]
+    assert table.l1 == 3
+    assert list(inversion_table_to_dict(table)["coeffs"]) == ["1:2", "2:1"]
+
+
 def test_reconstruct_check_reads_no_urn_column(monkeypatch):
     import exchkit.measures as measures
 

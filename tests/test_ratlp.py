@@ -1,5 +1,6 @@
 """Exact simplex kernel: contract examples, certificates, oracle agreement."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,7 @@ from exchkit.oracle import solve_lp_by_enumeration
 from exchkit.ratlp import LinearProgram, LpStatus, _Simplex, solve, verify
 from exchkit.typespace import Alphabet, TypeVector
 
-from helpers import patch_simplex, random_lp
+from helpers import patch_simplex, random_law, random_lp
 
 
 def test_simple_maximum():
@@ -224,9 +225,9 @@ def test_pivot_cap_is_read_once_per_solve(monkeypatch):
     assert len(reads) == 2
 
 
-def test_beale_cycling_example_terminates():
-    # Beale (1955): the textbook rule cycles here, Bland's rule must not
-    lp = LinearProgram.build(
+def _beale():
+    # Beale (1955): the textbook rule cycles here
+    return LinearProgram.build(
         "max",
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
@@ -235,11 +236,53 @@ def test_beale_cycling_example_terminates():
             ((0, 0, 1, 0), "<=", 1),
         ],
     )
+
+
+def test_beale_cycling_example_terminates():
+    # Bland's rule must not cycle on Beale's example
+    lp = _beale()
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.objective_value == Fraction(1, 20)
     assert out.primal == (Fraction(1, 25), 0, 1, 0)
     assert verify(lp, out)
+
+
+def test_every_row_stays_reduced_at_its_basic_column(monkeypatch):
+    # After every pivot each stored row holds its denominator at its basic
+    # column and shares no factor with it, so a pivot row, whose old basic
+    # entry is +-den, needs no gcd of its own.  Checked over seeded norm,
+    # grid and solve programs, Beale's example included.
+    import exchkit.extend as extend
+
+    pivot = _Simplex._pivot
+    pivots = []
+
+    def checked(simplex, row, col):
+        pivot(simplex, row, col)
+        pivots.append(kind)
+        for i, b in enumerate(simplex.basis):
+            stored, sign = simplex.colmap[b]
+            assert sign * simplex.T[i][stored] == simplex.den[i]
+            assert math.gcd(simplex.den[i], *simplex.T[i]) == 1
+
+    monkeypatch.setattr(_Simplex, "_pivot", checked)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
+    rng = random.Random(31)
+    laws = [random_law(rng, k, n) for k in (2, 3) for n in (1, 2, 3) for _ in range(2)]
+    kind = "norm"
+    for law in laws:
+        for N in (law.n, law.n + 2):
+            norm_EN(law, N)
+    kind = "grid"
+    for law in laws:
+        represent.signed_mixture(law, 2)
+    kind = "solve"
+    for _ in range(60):
+        solve(random_lp(rng))
+    solve(_beale())
+    assert all(pivots.count(name) > 100 for name in ("norm", "grid", "solve"))
 
 
 def test_oracle_agreement_mixed_denominators():
@@ -383,8 +426,11 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
     # urn anchors and dropped phase 1: k3n3 at N=4..10 took 31, 58, 103,
     # 182, 262, 331 and 442 pivots from all-artificial rows, pairs at
     # N=3..6 took 32, 113, 188 and 294, and k3n3 at N=16 took 1,185.  Each
-    # norm count now includes 10 start pivots, one per mass-n type.  The
-    # grid rows run both phases as before and keep their counts.
+    # norm count now includes 10 start pivots, one per mass-n type.  That
+    # start is now read off the urn columns, which give the same anchors,
+    # so the counts are unchanged.  The grid rows here are at mass 2, whose
+    # columns give no triangular start: they run both phases and keep
+    # their counts.
     solves = []
 
     def pivots(decide):

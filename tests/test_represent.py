@@ -9,6 +9,7 @@ from exchkit.corpus import disjoint_pairs_law, urn_without_replacement
 from exchkit.errors import CapacityError, InputError
 from exchkit.extend import InfiniteOutcome, Verdict, check_extendible, probe_infinite
 from exchkit.measures import product_law
+from exchkit.ratlp import _Simplex
 from exchkit.represent import (
     SignedMixture,
     reconstruct,
@@ -18,7 +19,7 @@ from exchkit.represent import (
 from exchkit.symmetrize import SymmetricFunction
 from exchkit.typespace import TypeVector
 
-from helpers import assert_probe_certified, random_law, random_theta
+from helpers import assert_probe_certified, patch_simplex, random_law, random_theta
 
 T = TypeVector
 URN = urn_without_replacement(2, 1)
@@ -135,6 +136,41 @@ def test_infeasible_grid_at_depth_n_is_an_internal_error(monkeypatch):
     with pytest.raises(AssertionError, match="depth-4 grid cannot represent a mass-3 law"):
         signed_mixture(urn_without_replacement(3, 1), 1)
     assert widths == [2, 3, 5]  # grid points at depths 1, 2 and 4
+
+
+def test_mass_1_grid_program_starts_triangular(monkeypatch):
+    # At mass 1 row e_b first meets the first grid point with a positive
+    # b-th coordinate, and those points increase down the rows: the grid
+    # program starts from them with no artificial basic, and its optimum
+    # equals that of the same rows solved through phase 1.
+    values = []
+
+    def started(simplex, args):
+        assert args["start"] is not None
+        assert not simplex.artificials.intersection(simplex.basis)
+
+    def compared(out, args):
+        plain = _Simplex(args["rows"], args["columns"])
+        assert out.objective_value == plain.solve().objective_value
+        values.append(out.objective_value)
+        return out
+
+    patch_simplex(monkeypatch, built=started, solved=compared)
+    rng = random.Random(13)
+    for depth in (1, 2, 3, 4):
+        for _ in range(5):
+            assert signed_mixture(random_law(rng, 3, 1), depth).total_variation == -values[-1]
+    assert len(values) == 20
+
+
+def test_mass_2_grid_program_runs_phase_1(monkeypatch):
+    # At mass 2 rows 0:0:1:1 and 0:0:2:0 first meet the same grid point,
+    # (0, 0, 1/8, 7/8), so the pairs law's depth-8 grid program gets no start
+    starts = []
+    patch_simplex(monkeypatch, built=lambda simplex, args: starts.append(args["start"]))
+    pairs, _ = disjoint_pairs_law()
+    signed_mixture(pairs, 8)
+    assert starts == [None]
 
 
 def test_binary_sufficiency_depth_n():
