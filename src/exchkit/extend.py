@@ -57,9 +57,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .caps import ensure_within_cap
+from .caps import ensure_within_cap, resource_cap
 from .errors import CapacityError, InputError
 from .measures import (
     Atom,
@@ -154,13 +155,15 @@ def marginal_matches(witness: ExchangeableLaw, P: ExchangeableLaw) -> bool:
 # -- constructive fast paths -------------------------------------------------------
 
 
-def _transport_witness(P: ExchangeableLaw, N: int) -> Optional[ExchangeableLaw]:
-    """The transport of ``P`` (see :func:`~exchkit.measures._transport`)
-    as a law, when it lands in the nonnegative orthant; otherwise None,
-    decided on the integer numerators before any ``Fraction`` is built.
-    Each distinct numerator becomes one ``Fraction``, the types in sorted
-    order."""
-    acc, denominator = _transport(P.weights, P.alphabet.size, N)
+def _transport_witness(
+    P: ExchangeableLaw, N: int, cap: Optional[int] = None
+) -> Optional[ExchangeableLaw]:
+    """The transport of ``P`` (see :func:`~exchkit.measures._transport`,
+    which reads ``cap``) as a law, when it lands in the nonnegative
+    orthant; otherwise None, decided on the integer numerators before any
+    ``Fraction`` is built.  Each distinct numerator becomes one
+    ``Fraction``, the types in sorted order."""
+    acc, denominator = _transport(P.weights, P.alphabet.size, N, cap)
     if any(v < 0 for v in acc.values()):
         return None
     return ExchangeableLaw(P.alphabet, N, _type_weights(acc, denominator))
@@ -225,7 +228,7 @@ def staircase_mixture(P: ExchangeableLaw) -> Optional[tuple[Atom, ...]]:
 
 
 def _staircase_type_weights(
-    steps: Sequence[tuple[int, Fraction]], N: int, k: int
+    steps: Sequence[tuple[int, Fraction]], N: int, k: int, cap: Optional[int] = None
 ) -> dict[TypeVector, Fraction]:
     """Type weights of the staircase mixture at length ``N``: equal, entry
     for entry and in order, to ``_mixture_type_weights`` of its atoms.
@@ -237,8 +240,9 @@ def _staircase_type_weights(
     denominator.  One walk over the mass-``N`` draws of the symbols below
     the last step builds every entry: a draw's last element is its largest
     symbol, and the draws come in decreasing order of their count tuples.
+    ``cap``, else the active cap, bounds the mass-``N`` types.
     """
-    ensure_within_cap(type_count(k, N), "mass-N type space")
+    ensure_within_cap(type_count(k, N), "mass-N type space", cap)
     top = steps[-1][0]
     denominator = math.lcm(*(w.denominator * r**N for r, w in steps))
     tail = [0] * top
@@ -300,6 +304,14 @@ def mixture_extension(
 # -- the decision ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _urn_columns(n: int) -> Callable[[TypeVector], tuple[tuple[TypeVector, Fraction], ...]]:
+    """The norm program's column function at mass ``n``, one object per
+    ``n``: with the mass-``N`` types it keys the program's last optimal
+    tableau in ``measures``."""
+    return lambda nu: _urn_column(nu, n)
+
+
 def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     """Decide N-extendibility with a verified certificate either way.
 
@@ -319,6 +331,13 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     bound the norm from below.  No check reads a decider's tables or urn
     columns.
 
+    The norm program goes on from the last optimal tableau of the same
+    ``(k, n, N)`` program in this process, if ``measures`` still holds one
+    (see :func:`~exchkit.measures._min_total_variation`).  So which
+    optimal weights and refutation come back may depend on the laws
+    decided before; the verdict and the norm never do, and every answer
+    passes the same checks.  The resource cap is read once per call.
+
     The transport goes first because the urn columns it reads are set by
     the mass-``n`` types of ``P``, not by ``N``, while the norm program has
     one variable per mass-``N`` type, declared to the simplex as two signed
@@ -329,16 +348,15 @@ def check_extendible(P: ExchangeableLaw, N: int) -> ExtendReport:
     if _require_int(N, "check_extendible: N") < P.n:
         raise InputError(f"extend: need N >= n, got N={N} < n={P.n}")
     k = P.alphabet.size
-    ensure_within_cap(type_count(k, N), "mass-N type space")
-    witness = _transport_witness(P, N)
+    cap = resource_cap()
+    ensure_within_cap(type_count(k, N), "mass-N type space", cap)
+    witness = _transport_witness(P, N, cap)
     if witness is None:
         steps = _staircase_steps(P)
         if steps is not None:
-            witness = ExchangeableLaw(P.alphabet, N, _staircase_type_weights(steps, N, k))
+            witness = ExchangeableLaw(P.alphabet, N, _staircase_type_weights(steps, N, k, cap))
     if witness is None:
-        signed, norm, y = _min_total_variation(
-            P, enumerate_types(k, N), lambda nu: _urn_column(nu, P.n)
-        )
+        signed, norm, y = _min_total_variation(P, enumerate_types(k, N), _urn_columns(P.n), cap)
         if signed is None or norm < 1:
             raise AssertionError("norm: the program must have an optimum of at least 1")
         if norm > 1:

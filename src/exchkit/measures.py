@@ -46,7 +46,9 @@ against the cap) for the mixture searches.  ``_min_total_variation``
 takes the keys and a function from key to column, checks the program's
 size against the cap, builds and solves it, and answers by key and by
 type: the signed weights by column key, the dual by mass-``n`` type.  Its
-rows, column positions and solver outcome stay inside this module.
+rows, column positions and solver outcome stay inside this module, and so
+does the last optimal tableau of each program, from which the next law on
+the same columns is solved.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -468,7 +470,9 @@ def _pattern_table(pattern: tuple[int, ...], N: int) -> PatternTable:
     return den, tuple((anchor, c.numerator * (den // c.denominator)) for anchor, c in entries)
 
 
-def _transport(weights: WeightMap, k: int, N: int) -> tuple[dict[tuple[int, ...], int], int]:
+def _transport(
+    weights: WeightMap, k: int, N: int, cap: Optional[int] = None
+) -> tuple[dict[tuple[int, ...], int], int]:
     """Push ``sum_mu weights[mu] * u_mu`` through the inversion tables: the
     signed mass-``N`` urn weights as integer numerators keyed by count
     tuple, and their common denominator.  They satisfy the marginal
@@ -479,12 +483,14 @@ def _transport(weights: WeightMap, k: int, N: int) -> tuple[dict[tuple[int, ...]
     table, relabelled onto its support:
     local slot ``j`` goes to the ``j``-th symbol of :func:`_support_order`,
     values unchanged.  Each (type, entry) product is an integer over
-    ``T = lcm(w.den * table den)``.  The ``urn inversion types`` cap is
-    read once per call and checked on every lookup: a table cached under a
-    larger cap does not carry a caller past a cap lowered since.
+    ``T = lcm(w.den * table den)``.  The ``urn inversion types`` cap,
+    ``cap`` or else read once per call, is checked on every lookup: a table
+    cached under a larger cap does not carry a caller past a cap lowered
+    since.
     """
     placed = []
-    cap = resource_cap()
+    if cap is None:
+        cap = resource_cap()
     for mu, w in weights.items():
         sup, pattern = _support_order(mu.counts)
         ensure_within_cap(type_count(len(pattern), sum(pattern)), "urn inversion types", cap)
@@ -549,10 +555,20 @@ def simplex_grid(k: int, depth: int) -> list[tuple[Fraction, ...]]:
     ]
 
 
+@lru_cache(maxsize=16)
+def _last_optimum(column: Callable, keys: tuple, k: int, n: int) -> list[_Simplex]:
+    """The last optimal tableau of one total-variation program, in a list
+    that holds it or nothing: the slot :func:`_min_total_variation` reads
+    and refills.  At most 16 programs keep a tableau, the least recently
+    used one giving way."""
+    return []
+
+
 def _min_total_variation(
     P: ExchangeableLaw,
     keys: Sequence[Hashable],
     column: Callable[[Hashable], Iterable[tuple[TypeVector, Fraction]]],
+    cap: Optional[int] = None,
 ) -> tuple[Optional[dict[Hashable, Fraction]], Optional[Fraction], dict[TypeVector, Fraction]]:
     """Least total variation of a signed combination of the sparse
     ``(mass-n type, weight)`` columns ``column(key)``, one per key,
@@ -573,23 +589,49 @@ def _min_total_variation(
     a nonzero diagonal, a basis the simplex makes feasible by sign and so
     skips phase 1 (see ``ratlp._Simplex``); else both phases run.  Urn
     columns always offer it, row ``mu`` first meeting its anchor
-    ``mu + (N - n) * e_last``; grid columns only at mass 1."""
-    width = len(keys)
-    ensure_within_cap(max(2 * width, type_count(P.alphabet.size, P.n)), "lp dimensions")
-    mus = enumerate_types(P.alphabet.size, P.n)
-    index = {mu: r for r, mu in enumerate(mus)}
-    zero = Fraction(0)
-    rows = [[zero] * width for _ in mus]
-    for v, key in enumerate(keys):
-        for mu, coef in column(key):
-            rows[index[mu]][v] = coef
-    firsts = [next(itertools.compress(itertools.count(), row), width) for row in rows]
-    start = firsts if all(map(lt, firsts, [*firsts[1:], width])) else None
-    cost = Fraction(-1)  # 1 in the min sense
-    signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
-    out = _Simplex([(row, "=", P.weight(mu)) for row, mu in zip(rows, mus)], signed, start).solve()
+    ``mu + (N - n) * e_last``; grid columns only at mass 1.
+
+    The matrix depends only on the columns, and ``P`` enters only as the
+    right-hand side.  So the tableau of an optimum that kept every row and
+    no basic artificial is stored under ``(column, keys, k, n)`` by
+    :func:`_last_optimum`, which keeps 16 programs at most.  The next call
+    with the same column function and keys builds no row: it re-seeds that
+    tableau with ``P`` (``ratlp._Simplex.resolve``) and goes on from its
+    optimal basis, under ``cap``, and stores it again if it ends optimal.
+    A caller that passes a new function on each call, as the grid program
+    does, always solves from the start.  Which optimal vertex comes back,
+    and so the weights and ``y``, may then depend on the last ``P`` solved
+    on the same program; the value never does.  ``cap``, else the active
+    cap, bounds the program's size, checked before the store is read, and
+    its pivots."""
+    keys = tuple(keys)
+    width, k = len(keys), P.alphabet.size
+    if cap is None:
+        cap = resource_cap()
+    ensure_within_cap(max(2 * width, type_count(k, P.n)), "lp dimensions", cap)
+    mus = enumerate_types(k, P.n)
+    rhs = [P.weight(mu) for mu in mus]
+    last = _last_optimum(column, keys, k, P.n)
+    if last:
+        simplex = last.pop()
+        out = simplex.resolve(rhs, cap)
+    else:
+        index = {mu: r for r, mu in enumerate(mus)}
+        zero = Fraction(0)
+        rows = [[zero] * width for _ in mus]
+        for v, key in enumerate(keys):
+            for mu, coef in column(key):
+                rows[index[mu]][v] = coef
+        firsts = [next(itertools.compress(itertools.count(), row), width) for row in rows]
+        start = firsts if all(map(lt, firsts, [*firsts[1:], width])) else None
+        cost = Fraction(-1)  # 1 in the min sense
+        signed = [(v, 1, cost) for v in range(width)] + [(v, -1, cost) for v in range(width)]
+        simplex = _Simplex([(row, "=", b) for row, b in zip(rows, rhs)], signed, start, cap)
+        out = simplex.solve()
     if out.status is not LpStatus.OPTIMAL:
         return None, None, dict(zip(mus, out.certificate))
+    if simplex.resolvable:
+        last.append(simplex)
     weights = {key: w for key, w in zip(keys, out.primal) if w}
     return weights, -out.objective_value, {mu: -c for mu, c in zip(mus, out.certificate)}
 

@@ -5,10 +5,15 @@ looks for a feasible basis from all-artificial rows unless the caller names
 a start basis, one signed column per row: the simplex pivots it in, makes
 it feasible by sign and runs phase 2 alone.  Only the total-variation
 program of :mod:`exchkit.measures` names one, read off its own columns
-when they are triangular; :func:`solve` runs both phases.  The tableau is
-exact but fraction-free: each row is a list of integers over one positive
-denominator, so a pivot costs integer multiplications and one gcd per row
-rather than a gcd per entry.
+when they are triangular; :func:`solve` runs both phases.  A solved
+tableau can also be re-seeded with a new right-hand side and re-optimized
+from its own basis (``_Simplex.resolve``): the reduced costs do not depend
+on the right-hand side, so an optimal basis often stays optimal.
+``measures`` is its one caller, for the next law on the same
+total-variation program; :func:`solve` and :func:`verify` never keep a
+tableau.  The tableau is exact but fraction-free: each row is a list of
+integers over one positive denominator, so a pivot costs integer
+multiplications and one gcd per row rather than a gcd per entry.
 The caller declares the signed columns the simplex works over, each +1 or
 -1 times one variable's column: :func:`solve` declares the two parts of a
 free variable, and the total-variation program in :mod:`exchkit.measures`
@@ -26,8 +31,9 @@ re-checked independently by :func:`verify`:
 
 The number of pivots in one solve, start pivots included, is bounded by
 the resource cap (:mod:`exchkit.caps`), read once when the solve is set
-up; Bland's rule guarantees termination from any feasible basis, so the
-cap only limits the work.
+up or passed in by the caller, and passed afresh to each re-seeded solve;
+Bland's rule guarantees termination from any feasible basis, so the cap
+only limits the work.
 
 Variables have lower bound 0 or are free; finite upper bounds are handled as
 appended ``x_j <= u_j`` rows.  Certificates are indexed by the constraint
@@ -225,6 +231,12 @@ class _Simplex:
     ``measures._min_total_variation`` names a start, when its columns are
     triangular.  A start of the wrong length, a singular one, or a
     negative row without an opposite-sign column raises ``AssertionError``.
+    ``cap`` bounds the pivots; None reads the active cap.
+
+    Once solved, a tableau that kept every row and no basic artificial
+    (:attr:`resolvable`) can be solved again for a new right-hand side by
+    :meth:`resolve`, from the basis it holds, with no start pivot and no
+    row rebuilt.  ``measures._min_total_variation`` is its one caller.
     """
 
     def __init__(
@@ -232,6 +244,7 @@ class _Simplex:
         rows: Sequence[Row],
         columns: Sequence[SignedColumn],
         start: Optional[Sequence[int]] = None,
+        cap: Optional[int] = None,
     ):
         self.cols = [(j, sign) for j, sign, _ in columns]
         self.nvars = nvars = 1 + max(j for j, _ in self.cols)
@@ -281,7 +294,7 @@ class _Simplex:
         self.basis: list[int] = []
         self.row_id: list[int] = list(range(m))  # surviving row -> ext row index
         self.pivots = 0
-        self.cap = resource_cap()  # read once, not on every pivot
+        self.cap = resource_cap() if cap is None else cap  # read once, not on every pivot
         for i, row in enumerate(int_rows):
             den = self.den[i]
             rhs = row.pop()
@@ -333,12 +346,20 @@ class _Simplex:
             if not 0 <= col < len(self.cols):
                 raise AssertionError("simplex: a start column must be a signed column")
             self._pivot(i, col)
-        partner = {c: col for col, c in enumerate(self.cols)}
+        self._feasible_by_sign()
+
+    def _feasible_by_sign(self) -> None:
+        """Make each row of negative value basic in the opposite-sign column
+        of its basic variable, negating the row: the basis stays a basis
+        and every row's value turns nonnegative."""
+        partner = None
         for i, row in enumerate(self.T):
             if row[-1] < 0:
+                if partner is None:
+                    partner = {c: col for col, c in enumerate(self.cols)}
                 j, sign = self.cols[self.basis[i]]
                 if (j, -sign) not in partner:
-                    raise AssertionError("simplex: a negative start row has no opposite column")
+                    raise AssertionError("simplex: a negative row has no opposite column")
                 self.T[i] = [-v for v in row]
                 self.basis[i] = partner[j, -sign]
 
@@ -395,7 +416,50 @@ class _Simplex:
             if self.z[-1] < 0:
                 return self._infeasible_outcome()
             self._purge_artificials()
+        return self._phase_2()
 
+    @property
+    def resolvable(self) -> bool:
+        """Can :meth:`resolve` re-seed this tableau: every row kept and no
+        artificial basic, so the basis spans every row."""
+        return len(self.T) == len(self.flip) and not self.artificials.intersection(self.basis)
+
+    def resolve(self, rhs: Sequence[Fraction], cap: int) -> LpOutcome:
+        """Solve this tableau's program again with the right-hand side
+        ``rhs``, one entry per row, from the basis it holds.
+
+        The tableau must be :attr:`resolvable`.  Row ``r``'s unit column
+        (its artificial, else its slack) started as the identity, so the
+        tableau holds ``B^-1`` there, and each row's new value is its
+        ``B^-1`` row times the sign-normalized ``rhs``.  A row that comes
+        out negative moves to the opposite-sign column of its variable, as
+        after a start, and phase 2 runs with the pivot count reset and the
+        cap ``cap``.  ``rhs`` changes no reduced cost, so an optimal basis
+        needs no pivot when ``rhs`` keeps it feasible.  The tableau is
+        changed in place.
+        """
+        if not self.resolvable or len(rhs) != len(self.T):
+            raise AssertionError("simplex: a re-seed needs every row and one value per row")
+        b, bden = _integer_row([f * v for f, v in zip(self.flip, rhs)])
+        units = [(self.colmap[self._unit_col(r)][0], v) for r, v in enumerate(b) if v]
+        for i, row in enumerate(self.T):
+            value = sum(row[u] * v for u, v in units)
+            scale = bden // gcd(value, bden)  # 1 when bden divides value
+            if scale != 1:
+                row = [scale * v for v in row]
+                self.den[i] *= scale
+            row[-1] = value * scale // bden
+            g = gcd(self.den[i], *row)
+            if g != 1:
+                row = [v // g for v in row]
+                self.den[i] //= g
+            self.T[i] = row
+        self._feasible_by_sign()
+        self.pivots = 0
+        self.cap = cap
+        return self._phase_2()
+
+    def _phase_2(self) -> LpOutcome:
         self._set_objective(self.cost, self.cden)
         enter = self._iterate(banned=self.artificials)
         if enter is not None:
@@ -442,13 +506,17 @@ class _Simplex:
                 x[j] += sign * internal[col]
         return tuple(x)
 
+    def _unit_col(self, ext_i: int) -> int:
+        """Row ``ext_i``'s unit column: its artificial, else its slack."""
+        art = self.art_col[ext_i]
+        return art if art >= 0 else self.slack_col[ext_i]
+
     def _duals(self) -> tuple[Fraction, ...]:
-        # Row i's dual is z at its unit column: its artificial, else its slack.
+        # Row i's dual is z at its unit column.
         y_ext = [Fraction(0)] * len(self.flip)
         den = self.zden * self.phase_cden
         for ext_i in self.row_id:
-            art = self.art_col[ext_i]
-            unit, _ = self.colmap[art if art >= 0 else self.slack_col[ext_i]]
+            unit, _ = self.colmap[self._unit_col(ext_i)]
             y_ext[ext_i] = self.flip[ext_i] * Fraction(self.z[unit], den)
         return tuple(y_ext)
 

@@ -1,8 +1,9 @@
 """Every test starts with exchkit's memo caches empty.
 
-The caches (urn columns, count-pattern inversion tables, type lists) live
-for the whole process, so without this a cap or cache test would pass or
-fail by which tests ran before it.  The benchmark empties them the same way
+The caches (urn columns, count-pattern inversion tables, type lists, the
+last optimal tableau of each total-variation program) live for the whole
+process, so without this a cap or cache test, or a count of pivots, would
+pass or fail by which tests ran before it.  The benchmark empties them the same way
 before each pass.
 """
 

@@ -76,15 +76,18 @@ def random_lp(rng: random.Random) -> LinearProgram:
 
 
 def patch_simplex(monkeypatch, inputs=None, built=None, solved=None) -> None:
-    """Stand in for every simplex that ``measures`` builds: the one place
-    that declares ``ratlp._Simplex``'s arguments.  Each hook reads them by
-    name (``rows``, ``columns``, ``start``): ``inputs(args)`` may change
-    them before the simplex is built, ``built(simplex, args)`` sees it once
-    built, and ``solved(outcome, args)`` returns the outcome that its
-    ``solve`` reports instead of ``outcome``."""
+    """Stand in for every simplex that ``measures`` builds or re-seeds: the
+    one place that declares ``ratlp._Simplex``'s arguments.  Each hook reads
+    them by name: ``rows``, ``columns``, ``start`` and ``cap`` for a simplex
+    built, ``rhs`` and ``cap`` for a stored one re-seeded by its
+    ``resolve``, built before the patch or after it.  ``inputs(args)`` may
+    change them before the simplex is built or re-seeded, ``built(simplex,
+    args)`` sees a simplex once built, and ``solved(outcome, args)`` returns
+    the outcome that its ``solve`` or ``resolve`` reports instead of
+    ``outcome``."""
 
-    def stand_in(rows, columns, start=None):
-        args = {"rows": rows, "columns": columns, "start": start}
+    def stand_in(rows, columns, start=None, cap=None):
+        args = {"rows": rows, "columns": columns, "start": start, "cap": cap}
         if inputs is not None:
             inputs(args)
         simplex = _Simplex(**args)
@@ -95,7 +98,17 @@ def patch_simplex(monkeypatch, inputs=None, built=None, solved=None) -> None:
             simplex.solve = lambda: solved(solve(), args)
         return simplex
 
+    resolve = _Simplex.resolve
+
+    def reseeded(simplex, rhs, cap):
+        args = {"rhs": rhs, "cap": cap}
+        if inputs is not None:
+            inputs(args)
+        out = resolve(simplex, **args)
+        return out if solved is None else solved(out, args)
+
     monkeypatch.setattr(measures, "_Simplex", stand_in)
+    monkeypatch.setattr(_Simplex, "resolve", reseeded)
 
 
 def assert_report_certified(P: ExchangeableLaw, report: ExtendReport) -> None:

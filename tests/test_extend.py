@@ -127,7 +127,7 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
     import exchkit.extend as extend
 
     solves = []
-    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N, cap: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
     patch_simplex(monkeypatch, built=lambda simplex, args: solves.append(args["columns"]))
     P = product_law((Fraction(1, 2), Fraction(1, 2)), 2)
@@ -139,12 +139,14 @@ def test_lp_route_agrees_with_fast_paths(monkeypatch):
 
 
 def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
-    # With the fast paths off, every decision solves the norm program from
-    # its urn anchors, the triangular start read off its urn columns: no
-    # artificial may be basic once they are pivoted in, so phase 1 never
+    # With the fast paths off, every first solve of a norm program starts
+    # from its urn anchors, the triangular start read off its urn columns:
+    # no artificial may be basic once they are pivoted in, so phase 1 never
     # runs, and the optimum must equal that of the same program solved
-    # from all-artificial rows through phase 1.
+    # from all-artificial rows through phase 1.  The stored tableaux are
+    # emptied before each case, so that every case is a first solve.
     import exchkit.extend as extend
+    import exchkit.measures as measures
 
     values = []
 
@@ -159,7 +161,7 @@ def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
         values.append(out.objective_value)
         return out
 
-    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N, cap: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
     patch_simplex(monkeypatch, built=started, solved=compared)
     rng = random.Random(24)
@@ -170,6 +172,7 @@ def test_anchor_start_skips_phase_1_and_keeps_the_optimum(monkeypatch):
         law = random_law(rng, rng.randint(1, 3), rng.randint(1, 3), 12)
         cases += [(law, N) for N in range(law.n, 6)]
     for law, N in cases:
+        measures._last_optimum.cache_clear()
         assert check_extendible(law, N).norm == -values[-1]
     assert len(values) == len(cases)
     assert {v == -1 for v in values} == {True, False}
@@ -188,7 +191,7 @@ def test_norm_start_is_the_urn_anchors(monkeypatch):
         starts.append(args["start"])
         raise Seen
 
-    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N, cap: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
     patch_simplex(monkeypatch, inputs=stop)
     rng = random.Random(31)
@@ -377,7 +380,7 @@ def test_transport_decides_beyond_the_norm_program(monkeypatch):
     with pytest.raises(CapacityError, match="mass-N type space"):
         check_extendible(point, 10)
     with monkeypatch.context() as m:
-        m.setattr(extend, "_transport_witness", lambda P, N: None)
+        m.setattr(extend, "_transport_witness", lambda P, N, cap: None)
         assert check_extendible(point, 4).verdict is Verdict.EXTENDIBLE
         with pytest.raises(CapacityError, match="lp dimensions"):
             check_extendible(point, 5)
@@ -436,7 +439,7 @@ def test_norm_one_claim_is_checked_by_its_weights(monkeypatch):
         return dataclasses.replace(out, objective_value=Fraction(-1))
 
     assert norm_EN(URN, 3) == 2
-    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N, cap: None)
     patch_simplex(monkeypatch, solved=claims_one)
     for decide in (check_extendible, norm_EN):
         with pytest.raises(AssertionError, match="signed weights do not reproduce P at the norm"):
@@ -460,21 +463,34 @@ def test_refuted_norm_is_pinned_from_both_sides(monkeypatch):
     # Its dual, with a zero for the lost row, still passes apply_U and
     # prices P at the looser optimum, so the refutation bounds that too-low
     # norm only from below; the signed weights miss the lost row of P.
+    # Each case's first decision builds the short tableau and the second
+    # re-seeds it, the lost row dropped from the right-hand side too.
     import dataclasses
 
+    import exchkit.measures as measures
+
     def dropped_row(args):
-        args["rows"], args["start"] = args["rows"][:-1], args["start"][:-1]
+        if "rhs" in args:
+            args["rhs"] = args["rhs"][:-1]
+        else:
+            args["rows"], args["start"] = args["rows"][:-1], args["start"][:-1]
 
     def padded(out, args):
         return dataclasses.replace(out, certificate=(*out.certificate, Fraction(0)))
 
     cases = ((K3N3, 4), (K3N3, 5), (K3N3, 6), (K4N3, 6))
     assert [norm_EN(P, N) for P, N in cases] == [2, Fraction(8, 3), Fraction(8, 3), Fraction(113, 96)]
-    patch_simplex(monkeypatch, inputs=dropped_row, solved=padded)
+    measures._last_optimum.cache_clear()  # their tableaux have every row
+    builds = []
+    patch_simplex(
+        monkeypatch, inputs=dropped_row, built=lambda simplex, args: builds.append(args),
+        solved=padded,
+    )
     for P, N in cases:
         for decide in (check_extendible, norm_EN):
             with pytest.raises(AssertionError, match="signed weights do not reproduce"):
                 decide(P, N)
+    assert len(builds) == len(cases)
 
 
 def test_certificate_checks_read_no_urn_column(monkeypatch):
@@ -499,6 +515,7 @@ def test_certificate_checks_read_no_urn_column(monkeypatch):
     cases = ((URN, 3), (URN, 4), (K3N3, 5))
     assert [norm_EN(P, N) for P, N in cases] == [2, 2, Fraction(8, 3)]
     measures._pattern_table.cache_clear()  # rebuilt from binomials, not columns
+    measures._last_optimum.cache_clear()  # solved from the true columns
     monkeypatch.setattr(measures, "_urn_column", swapped)
     monkeypatch.setattr(extend, "_urn_column", swapped)
     monkeypatch.setattr(symmetrize, "_urn_column", swapped, raising=False)

@@ -267,7 +267,7 @@ def test_every_row_stays_reduced_at_its_basic_column(monkeypatch):
             assert math.gcd(simplex.den[i], *simplex.T[i]) == 1
 
     monkeypatch.setattr(_Simplex, "_pivot", checked)
-    monkeypatch.setattr(extend, "_transport_witness", lambda P, N: None)
+    monkeypatch.setattr(extend, "_transport_witness", lambda P, N, cap: None)
     monkeypatch.setattr(extend, "_staircase_steps", lambda P: None)
     rng = random.Random(31)
     laws = [random_law(rng, k, n) for k in (2, 3) for n in (1, 2, 3) for _ in range(2)]
@@ -367,6 +367,58 @@ def test_start_basis_is_made_feasible_by_sign():
     assert out.certificate == _Simplex(rows, columns).solve().certificate
 
 
+def _l1_program(rng, m, width, b):
+    """min sum |x_j| subject to A x = b, each x_j declared as a +1 and a
+    -1 column at cost 1, for a random integer A with small entries."""
+    A = [[Fraction(rng.randint(-3, 3)) for _ in range(width)] for _ in range(m)]
+    rows = [(tuple(row), "=", bi) for row, bi in zip(A, b)]
+    one = Fraction(-1)
+    signed = [(j, 1, one) for j in range(width)] + [(j, -1, one) for j in range(width)]
+    return A, rows, signed
+
+
+def test_resolve_matches_a_fresh_solve():
+    # Re-seed a solved tableau with a new right-hand side: its optimum is
+    # a fresh solve's, its point solves the new rows at that l1 norm, and
+    # its dual prices every column within 1.  Rows of either sign, zeros
+    # and duplicated rows (dropped by phase 1, so not resolvable) included.
+    rng = random.Random(57)
+    resolved = flipped = refused = 0
+    for _ in range(150):
+        m, width = rng.randint(1, 4), rng.randint(1, 6)
+
+        def rhs():
+            return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
+
+        A, rows, signed = _l1_program(rng, m, width, rhs())
+        if rng.random() < 0.2:
+            A.append(A[0])
+            rows.append((rows[0][0], "=", rows[0][2]))
+        simplex = _Simplex(rows, signed)
+        if simplex.solve().status is not LpStatus.OPTIMAL:
+            continue
+        if not simplex.resolvable:
+            with pytest.raises(AssertionError, match="re-seed"):
+                simplex.resolve([r[2] for r in rows], DEFAULT_RESOURCE_CAP)
+            refused += 1
+            continue
+        for _ in range(3):
+            b = rhs()
+            fresh = _Simplex([(r[0], "=", bi) for r, bi in zip(rows, b)], signed).solve()
+            negative = any(bi * f < 0 for bi, f in zip(b, simplex.flip))
+            out = simplex.resolve(b, DEFAULT_RESOURCE_CAP)
+            assert out.status is LpStatus.OPTIMAL
+            assert out.objective_value == fresh.objective_value
+            x, y = out.primal, out.certificate
+            assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+            assert sum(map(abs, x)) == -out.objective_value
+            assert sum(yi * bi for yi, bi in zip(y, b)) == out.objective_value
+            assert all(abs(sum(yi * row[j] for yi, row in zip(y, A))) <= 1 for j in range(width))
+            resolved += 1
+            flipped += negative
+    assert resolved > 200 and flipped > 50 and refused > 5
+
+
 def test_bad_start_is_refused(monkeypatch, capsys):
     # a start of the wrong length, a singular one or a negative row with no
     # opposite-sign column is an internal error, never an outcome
@@ -430,7 +482,8 @@ def test_bland_pivot_counts_are_pinned(monkeypatch):
     # start is now read off the urn columns, which give the same anchors,
     # so the counts are unchanged.  The grid rows here are at mass 2, whose
     # columns give no triangular start: they run both phases and keep
-    # their counts.
+    # their counts.  Each row is the first solve of its program here, so
+    # none goes on from a stored optimal tableau.
     solves = []
 
     def pivots(decide):
